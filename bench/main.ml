@@ -104,7 +104,7 @@ let case_attack_k3 n =
     Printf.sprintf "sybil/best-attack-k3/n=%d" n,
     fun () ->
       ignore
-        (Incentive.best_attack_k
+        (Incentive.best_attack
            ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ~identities:3 ())
            g) )
 
@@ -479,7 +479,7 @@ let smoke_kway_bound () =
     Incentive.best_attack ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ~obs:true ()) g5
   in
   let a3 =
-    Incentive.best_attack_k
+    Incentive.best_attack
       ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ~identities:3 ~obs:true ())
       g5
   in

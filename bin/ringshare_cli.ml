@@ -280,14 +280,19 @@ let sybil g ctx v_opt checkpoint resume () =
      through the fault-tolerant partial-results path below *)
   let ctx = Engine.Ctx.arm ctx in
   let budget = Engine.Ctx.budget_or_unlimited ctx in
+  let k = ctx.Engine.Ctx.identities in
+  (* the split prints as w1 at two identities, as the weight vector above *)
   let report (a : Incentive.attack) =
-    Format.printf
-      "v=%d  best w1=%s  attack utility=%s  honest=%s  ratio=%s (%.5f)@." a.v
-      (Q.to_string a.w1) (Q.to_string a.utility) (Q.to_string a.honest)
-      (Q.to_string a.ratio) (Q.to_float a.ratio)
+    Format.printf "v=%d  best %s  attack utility=%s  honest=%s  ratio=%s (%.5f)@."
+      a.v
+      (if k >= 3 then
+         "weights=[" ^ Checkpoint.rationals_to_string a.weights ^ "]"
+       else "w1=" ^ Q.to_string a.w1)
+      (Q.to_string a.utility) (Q.to_string a.honest) (Q.to_string a.ratio)
+      (Q.to_float a.ratio)
   in
-  (* the exact sweep reports its rational witness in the historical
-     format, then the certified optimum as quadratic surds *)
+  (* the certified two-identity sweep reports its rational witness in the
+     historical format, then the certified optimum as quadratic surds *)
   let report_exact (e : Incentive.exact_attack) =
     report e.Incentive.witness;
     Format.printf
@@ -298,58 +303,32 @@ let sybil g ctx v_opt checkpoint resume () =
       (Qx.to_float e.Incentive.ratio_exact)
       e.Incentive.pieces e.Incentive.events
   in
-  let report_k (a : Incentive.kattack) =
-    Format.printf
-      "v=%d  best weights=[%s]  attack utility=%s  honest=%s  ratio=%s (%.5f)@."
-      a.Incentive.v
-      (String.concat ";"
-         (Array.to_list (Array.map Q.to_string a.Incentive.weights)))
-      (Q.to_string a.Incentive.utility)
-      (Q.to_string a.Incentive.honest)
-      (Q.to_string a.Incentive.ratio)
-      (Q.to_float a.Incentive.ratio)
+  let certified =
+    k = 2 && match ctx.Engine.Ctx.sweep with Engine.Exact -> true | _ -> false
   in
-  let stop_early e p_status_checkpoint =
-    (* partial results above; exit through the taxonomy (code 4/...) *)
-    if p_status_checkpoint then
-      Format.printf "stopped early (checkpoint saved; rerun with --resume)@."
-    else Format.printf "stopped early@.";
-    Ringshare_error.error e
-  in
-  let k = ctx.Engine.Ctx.identities in
-  (if k >= 3 then
-     (* k-way search: one report format for both sweeps (the exact sweep's
-        certified coordinate-descent point is itself rational) *)
-     match v_opt with
-     | Some v -> report_k (Incentive.best_splitk ~ctx g ~v)
-     | None when Budget.is_limited budget || checkpoint <> None || resume ->
-         let p = Incentive.best_attack_within ~ctx ?checkpoint ~resume g in
-         Format.printf "searched %d/%d vertices@." p.Incentive.completed
-           p.Incentive.total;
-         Option.iter report_k p.Incentive.best_k;
-         (match p.Incentive.status with
-         | Ok () -> ()
-         | Error e -> stop_early e (checkpoint <> None))
-     | None -> report_k (Incentive.best_attack_k ~ctx g)
-   else
-     match (v_opt, ctx.Engine.Ctx.sweep) with
-     | Some v, Engine.Exact ->
-         report_exact (Incentive.best_split_exact ~ctx g ~v)
-     | Some v, Engine.Grid -> report (Incentive.best_split ~ctx g ~v)
-     | None, _ when Budget.is_limited budget || checkpoint <> None || resume ->
-         (* fault-tolerant path: sequential scan, snapshot per vertex,
-            partial best on budget exhaustion *)
-         let p = Incentive.best_attack_within ~ctx ?checkpoint ~resume g in
-         Format.printf "searched %d/%d vertices@." p.Incentive.completed
-           p.Incentive.total;
-         (match p.Incentive.best_exact with
-         | Some e -> report_exact e
-         | None -> Option.iter report p.Incentive.best);
-         (match p.Incentive.status with
-         | Ok () -> ()
-         | Error e -> stop_early e (checkpoint <> None))
-     | None, Engine.Exact -> report_exact (Incentive.best_attack_exact ~ctx g)
-     | None, Engine.Grid -> report (Incentive.best_attack ~ctx g));
+  (match v_opt with
+  | Some v when certified -> report_exact (Incentive.best_split_exact ~ctx g ~v)
+  | Some v -> report (Incentive.best_split ~ctx g ~v)
+  | None when Budget.is_limited budget || checkpoint <> None || resume -> (
+      (* fault-tolerant path: sequential scan, snapshot per vertex,
+         partial best on budget exhaustion *)
+      let p = Incentive.best_attack_within ~ctx ?checkpoint ~resume g in
+      Format.printf "searched %d/%d vertices@." p.Incentive.completed
+        p.Incentive.total;
+      (match p.Incentive.best_exact with
+      | Some e -> report_exact e
+      | None -> Option.iter report p.Incentive.best);
+      match p.Incentive.status with
+      | Ok () -> ()
+      | Error e ->
+          (* partial results above; exit through the taxonomy (code 4/...) *)
+          if checkpoint <> None then
+            Format.printf
+              "stopped early (checkpoint saved; rerun with --resume)@."
+          else Format.printf "stopped early@.";
+          Ringshare_error.error e)
+  | None when certified -> report_exact (Incentive.best_attack_exact ~ctx g)
+  | None -> report (Incentive.best_attack ~ctx g));
   if k >= 3 then
     Format.printf "Theorem 8 bound: 2 (for 2 identities; k=%d can exceed it)@."
       k
@@ -523,57 +502,40 @@ let batch files ctx () =
     | Some _ -> ctx
     | None -> Engine.Ctx.with_cache (Engine.Cache.create ~capacity:4096 ()) ctx
   in
+  let k = ctx.Engine.Ctx.identities in
+  let results =
+    Engine.run_batch_r ~ctx
+      ~f:(fun ctx file ->
+        match Serial.load_r file with
+        | Error e -> Ringshare_error.error e
+        | Ok g -> (Graph.n g, Incentive.best_attack ~ctx g))
+      (Array.of_list files)
+  in
+  (* the split prints as w1 at two identities, as the weight vector above *)
+  let column, width, split =
+    if k >= 3 then
+      ("weights", 16, fun (a : Incentive.attack) ->
+        Checkpoint.rationals_to_string a.weights)
+    else ("w1", 10, fun a -> Q.to_string a.w1)
+  in
+  Format.printf "%-32s %6s %6s %*s %10s@." "file" "n" "v" width column "ratio";
   let failed = ref 0 in
-  (if ctx.Engine.Ctx.identities >= 3 then begin
-     let results =
-       Engine.run_batch_r ~ctx
-         ~f:(fun ctx file ->
-           match Serial.load_r file with
-           | Error e -> Ringshare_error.error e
-           | Ok g -> (Graph.n g, Incentive.best_attack_k ~ctx g))
-         (Array.of_list files)
-     in
-     Format.printf "%-32s %6s %6s %16s %10s@." "file" "n" "v" "weights" "ratio";
-     List.iteri
-       (fun i file ->
-         match results.(i) with
-         | Ok (n, (a : Incentive.kattack)) ->
-             Format.printf "%-32s %6d %6d %16s %10.5f@." file n a.Incentive.v
-               (String.concat ";"
-                  (Array.to_list (Array.map Q.to_string a.Incentive.weights)))
-               (Q.to_float a.Incentive.ratio)
-         | Error e ->
-             incr failed;
-             Format.printf "%-32s FAILED: %s@." file
-               (Ringshare_error.to_string e))
-       files;
-     Format.printf "batch: %d instances, %d failed (identities=%d)@."
-       (List.length files) !failed ctx.Engine.Ctx.identities
-   end
-   else begin
-     let results =
-       Engine.run_batch_r ~ctx
-         ~f:(fun ctx file ->
-           match Serial.load_r file with
-           | Error e -> Ringshare_error.error e
-           | Ok g -> (Graph.n g, Incentive.best_attack ~ctx g))
-         (Array.of_list files)
-     in
-     Format.printf "%-32s %6s %6s %10s %10s@." "file" "n" "v" "w1" "ratio";
-     List.iteri
-       (fun i file ->
-         match results.(i) with
-         | Ok (n, (a : Incentive.attack)) ->
-             Format.printf "%-32s %6d %6d %10s %10.5f@." file n a.v
-               (Q.to_string a.w1) (Q.to_float a.ratio)
-         | Error e ->
-             incr failed;
-             Format.printf "%-32s FAILED: %s@." file
-               (Ringshare_error.to_string e))
-       files;
-     Format.printf "batch: %d instances, %d failed (Theorem 8 bound: 2)@."
-       (List.length files) !failed
-   end);
+  List.iteri
+    (fun i file ->
+      match results.(i) with
+      | Ok (n, a) ->
+          Format.printf "%-32s %6d %6d %*s %10.5f@." file n a.v width (split a)
+            (Q.to_float a.ratio)
+      | Error e ->
+          incr failed;
+          Format.printf "%-32s FAILED: %s@." file (Ringshare_error.to_string e))
+    files;
+  if k >= 3 then
+    Format.printf "batch: %d instances, %d failed (identities=%d)@."
+      (List.length files) !failed k
+  else
+    Format.printf "batch: %d instances, %d failed (Theorem 8 bound: 2)@."
+      (List.length files) !failed;
   if !failed > 0 then exit 2
 
 (* ------------------------------------------------------------------ *)

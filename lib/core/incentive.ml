@@ -3,6 +3,7 @@ module Q = Rational
 type attack = {
   v : int;
   w1 : Q.t;
+  weights : Q.t array;
   utility : Q.t;
   honest : Q.t;
   ratio : Q.t;
@@ -26,16 +27,14 @@ let ratio_value_qx ~utility ~honest =
     if Qx.sign utility = 0 then Qx.of_q Q.one else Qx.of_q Q.inf
   else Qx.div_q utility honest
 
+let attack_of ~v ~weights ~utility ~honest =
+  { v; w1 = weights.(0); weights; utility; honest;
+    ratio = ratio_value ~utility ~honest }
+
+(* A 2-split as its weight vector. *)
+let pair w w1 = [| w1; Q.sub w w1 |]
+
 let clamp lo hi x = Q.max lo (Q.min hi x)
-
-(* Memoisation cache for one search: split weight w1 -> attacker utility.
-   Rationals are kept normalised, so Q.equal/Q.hash are semantic. *)
-module QTbl = Hashtbl.Make (struct
-  type t = Q.t
-
-  let equal = Q.equal
-  let hash = Q.hash
-end)
 
 let c_split_calls = Obs.Counter.make ~subsystem:"incentive" "best_split_calls"
 let c_lookups = Obs.Counter.make ~subsystem:"incentive" "memo_lookups"
@@ -57,6 +56,17 @@ let c_exact_criticals =
   Obs.Counter.make ~subsystem:"incentive" "exact_criticals"
 
 let c_exact_evals = Obs.Counter.make ~subsystem:"incentive" "exact_evals"
+let c_kway_points = Obs.Counter.make ~subsystem:"incentive" "kway_points"
+let c_kway_rounds = Obs.Counter.make ~subsystem:"incentive" "kway_rounds"
+
+let c_kway_exact_events =
+  Obs.Counter.make ~subsystem:"incentive" "kway_exact_events"
+
+let c_kway_lookups =
+  Obs.Counter.make ~subsystem:"incentive" "kway_memo_lookups"
+
+let c_kway_hits = Obs.Counter.make ~subsystem:"incentive" "kway_memo_hits"
+let c_kway_misses = Obs.Counter.make ~subsystem:"incentive" "kway_memo_misses"
 
 (* Explicit [?budget] wins over the context's. *)
 let with_budget_arg budget ctx =
@@ -69,66 +79,193 @@ let with_budget_arg budget ctx =
    dominates (BENCH_ringshare.json showed best-attack/n=8/domains=2 at
    grid 8 running ~1.5x slower than domains=1), so small sweeps fall
    back to the serial path — which computes bit-identical results by
-   construction.  [parallel_points_min] gates one sweep's fresh-point
-   batch inside best_split; [parallel_evals_min] gates the per-vertex
-   fan-out in best_attack by the expected evaluations per vertex. *)
+   construction.  [parallel_points_min] gates one memo batch's fresh
+   points; [parallel_evals_min] gates the 2-split grid's per-vertex
+   fan-out by the expected evaluations per vertex. *)
 let parallel_points_min = 16
 let parallel_evals_min = 32
 
-let best_split_grid ?ctx ?budget ?honest g ~v =
+(* ------------------------------------------------------------------ *)
+(* Shared search machinery                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* What every per-vertex search starts from. *)
+type search = {
+  ctx : Engine.Ctx.t;  (** armed; an explicit [?budget] already applied *)
+  budget : Budget.t;
+  dctx : Engine.Ctx.t;
+      (** un-budgeted: evaluations are metered once per distinct point,
+          the decompositions they trigger are not *)
+  w : Q.t;  (** the attacker's weight *)
+  cost : int;  (** budget charge of one mechanism evaluation *)
+  honest : Q.t;
+}
+
+(* The one search prologue: arm the context, give it a request-local
+   decomposition cache when asked and none is shared (the exact sweeps
+   revisit boundary splits), open the span, tick [calls], and compute
+   the honest utility unless the caller shares it. *)
+let with_search ~span ?calls ?(local_cache = false) ?ctx ?budget ?honest g
+    ~v body =
   let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  let { Engine.Ctx.grid; refine; domains; _ } = ctx in
-  if grid < 2 then invalid_arg "Incentive.best_split: grid too small";
-  Obs.Span.with_ "best_split" @@ fun () ->
-  Obs.Counter.incr c_split_calls;
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  (* split evaluations are metered here, once per distinct point; the
-     decompositions they trigger run un-budgeted, as they always have *)
+  let ctx =
+    match ctx.Engine.Ctx.cache with
+    | None when local_cache ->
+        Engine.Ctx.with_cache (Engine.Cache.create ~capacity:128 ()) ctx
+    | _ -> ctx
+  in
+  Obs.Span.with_ span @@ fun () ->
+  Option.iter Obs.Counter.incr calls;
   let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  let cost = 1 + Graph.n g in
   let honest =
     match honest with
     | Some u -> u
     | None -> Sybil.honest_utility ~ctx:dctx g ~v
   in
-  (* Per-search cache: zoom rounds overlap (the previous best is the
-     centre of the next window) and clamped extras collide with grid
-     points, so without it the same split is decomposed several times.
-     Each distinct w1 is evaluated — and budget-charged — exactly once
-     per search. *)
-  let cache = QTbl.create 64 in
-  let eval w1 =
-    Budget.tick ~cost budget;
-    Sybil.split_utility ~ctx:dctx g ~v ~w1
+  body
+    {
+      ctx;
+      budget = Engine.Ctx.budget_or_unlimited ctx;
+      dctx;
+      w = Graph.weight g v;
+      cost = 1 + Graph.n g;
+      honest;
+    }
+
+(* The per-search memo, generic in its key: the split weight [w1] at two
+   identities, the whole weight vector above.  Each distinct key is
+   evaluated — and budget-charged [cost] — exactly once per search.
+   Callers pass deduplicated batches, so each path's counter triple
+   satisfies hits + misses = lookups by construction. *)
+module Memo (K : Hashtbl.HashedType) = struct
+  module Tbl = Hashtbl.Make (K)
+
+  type t = { tbl : Q.t Tbl.t; batch : K.t list -> unit }
+
+  let create s ~counters:(c_lookups, c_hits, c_misses) utility =
+    let tbl = Tbl.create 64 in
+    let eval key =
+      Budget.tick ~cost:s.cost s.budget;
+      utility key
+    in
+    let domains = s.ctx.Engine.Ctx.domains in
+    let batch keys =
+      let fresh = List.filter (fun key -> not (Tbl.mem tbl key)) keys in
+      if Engine.Ctx.obs_enabled s.ctx then begin
+        let lookups = List.length keys and misses = List.length fresh in
+        Obs.Counter.add c_lookups lookups;
+        Obs.Counter.add c_misses misses;
+        Obs.Counter.add c_hits (lookups - misses)
+      end;
+      match fresh with
+      | [] -> ()
+      | [ key ] -> Tbl.replace tbl key (eval key)
+      | _ when domains > 1 && List.length fresh >= parallel_points_min ->
+          (* independent decompositions; the shared budget counter is
+             atomic and results land by index, so the filled memo is
+             identical to the sequential one *)
+          let arr = Array.of_list fresh in
+          let us = Parwork.map ~domains eval arr in
+          Array.iteri (fun i u -> Tbl.replace tbl arr.(i) u) us
+      | _ -> List.iter (fun key -> Tbl.replace tbl key (eval key)) fresh
+    in
+    { tbl; batch }
+
+  let get m key =
+    match Tbl.find_opt m.tbl key with Some u -> u | None -> assert false
+
+  let size m = Tbl.length m.tbl
+end
+
+(* Rationals are kept normalised, so Q.equal / Q.hash (pointwise on
+   vectors) are semantic. *)
+module W1_memo = Memo (struct
+  type t = Q.t
+
+  let equal = Q.equal
+  let hash = Q.hash
+end)
+
+module Vec_memo = Memo (struct
+  type t = Q.t array
+
+  let equal a b =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i = Array.length a || (Q.equal a.(i) b.(i) && go (i + 1)) in
+    go 0
+
+  let hash a = Array.fold_left (fun acc x -> (acc * 31) + Q.hash x) 17 a
+end)
+
+let vec_compare a b =
+  let rec go i =
+    if i = Array.length a then 0
+    else match Q.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
   in
-  let eval_batch points =
-    let fresh = List.filter (fun w1 -> not (QTbl.mem cache w1)) points in
-    if Engine.Ctx.obs_enabled ctx then begin
-      let lookups = List.length points and misses = List.length fresh in
-      Obs.Counter.add c_lookups lookups;
-      Obs.Counter.add c_misses misses;
-      Obs.Counter.add c_hits (lookups - misses)
-    end;
-    match fresh with
-    | [] -> ()
-    | [ w1 ] -> QTbl.replace cache w1 (eval w1)
-    | _ when domains > 1 && List.length fresh >= parallel_points_min ->
-        (* grid points are independent decompositions; the shared budget
-           counter is atomic, and results land by index so the filled
-           cache is identical to the sequential one *)
-        let arr = Array.of_list fresh in
-        let us = Parwork.map ~domains eval arr in
-        Array.iteri (fun i u -> QTbl.replace cache arr.(i) u) us
-    | _ -> List.iter (fun w1 -> QTbl.replace cache w1 (eval w1)) fresh
+  go 0
+
+(* Fold [points] into the running best [acc]: a point replaces it only
+   on strict improvement, so the first point of a utility tie wins. *)
+let first_best utility points acc =
+  List.fold_left
+    (fun (bx, bu) x ->
+      let u = utility x in
+      if Q.compare u bu > 0 then (x, u) else (bx, bu))
+    acc points
+
+(* Decomposition-change events along a piece tiling. *)
+let structure_changes pieces =
+  let rec count = function
+    | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
+        (if
+           Decompose.same_structure a.Breakpoints.structure
+             b.Breakpoints.structure
+         then 0
+         else 1)
+        + count rest
+    | _ -> 0
   in
-  let best_of points acc =
-    List.fold_left
-      (fun (bw, bu) w1 ->
-        match QTbl.find_opt cache w1 with
-        | Some u when Q.compare u bu > 0 -> (w1, u)
-        | _ -> (bw, bu))
-      acc points
+  count pieces
+
+(* Denominator of the dyadic rationals that stand in for an irrational
+   point. *)
+let witness_denom = 1 lsl 40
+
+(* The two dyadic rationals at denominator 2^40 bracketing [x]. *)
+let dyadic_bracket x =
+  let scaled = Qx.mul_q x (Q.of_int witness_denom) in
+  let lo = Q.make (Qx.floor scaled) (Bigint.of_int witness_denom) in
+  (lo, Q.add lo (Q.of_ints 1 witness_denom))
+
+(* N'·D − N·D': its roots are the critical points of N/D. *)
+let derivative_numerator (num, den) =
+  Poly.sub (Poly.mul (Poly.derive num) den) (Poly.mul num (Poly.derive den))
+
+(* Horner evaluation in the quadratic-surd field; [Poly.coeffs] is
+   ascending. *)
+let poly_eval_qx p x =
+  List.fold_right
+    (fun c acc -> Qx.add_q (Qx.mul acc x) c)
+    (Poly.coeffs p) (Qx.of_q Q.zero)
+
+(* ------------------------------------------------------------------ *)
+(* Two identities, grid sweep                                          *)
+(* ------------------------------------------------------------------ *)
+
+let split_grid ?ctx ?budget ?honest g ~v =
+  let { Engine.Ctx.grid; refine; _ } = Engine.Ctx.get ctx in
+  if grid < 2 then invalid_arg "Incentive.best_split: grid too small";
+  with_search ~span:"best_split" ~calls:c_split_calls ?ctx ?budget ?honest g
+    ~v
+  @@ fun s ->
+  let w = s.w in
+  (* Zoom rounds overlap (the previous best is the centre of the next
+     window) and clamped extras collide with grid points; the memo
+     decomposes each of them once. *)
+  let memo =
+    W1_memo.create s ~counters:(c_lookups, c_hits, c_misses) (fun w1 ->
+        Sybil.split_utility ~ctx:s.dctx g ~v ~w1)
   in
   let sweep lo hi extras acc =
     let step = Q.div_int (Q.sub hi lo) grid in
@@ -144,14 +281,14 @@ let best_split_grid ?ctx ?budget ?honest g ~v =
        first point of a utility tie wins, so this keeps the reported [w1]
        identical to the pre-memoisation search. *)
     let deduped = List.sort_uniq Q.compare points in
-    if Engine.Ctx.obs_enabled ctx then begin
+    if Engine.Ctx.obs_enabled s.ctx then begin
       Obs.Counter.add c_sweep_points (List.length points);
       Obs.Counter.add c_sweep_deduped (List.length deduped)
     end;
-    eval_batch deduped;
-    best_of points acc
+    memo.batch deduped;
+    first_best (W1_memo.get memo) points acc
   in
-  let w10, _ = Sybil.initial_split ~ctx:dctx g ~v in
+  let w10, _ = Sybil.initial_split ~ctx:s.dctx g ~v in
   let rec zoom lo hi extras rounds (bw, bu) =
     let bw, bu = sweep lo hi extras (bw, bu) in
     if rounds = 0 then (bw, bu)
@@ -164,58 +301,29 @@ let best_split_grid ?ctx ?budget ?honest g ~v =
           (clamp Q.zero w (Q.add bw step))
           [] (rounds - 1) (bw, bu)
   in
-  let bw, bu = zoom Q.zero w [ w10 ] refine (w10, honest) in
-  if Engine.Ctx.obs_enabled ctx then
-    Obs.Gauge.set_max g_cache (QTbl.length cache);
-  { v; w1 = bw; utility = bu; honest; ratio = ratio_value ~utility:bu ~honest }
+  let bw, bu = zoom Q.zero w [ w10 ] refine (w10, s.honest) in
+  if Engine.Ctx.obs_enabled s.ctx then
+    Obs.Gauge.set_max g_cache (W1_memo.size memo);
+  attack_of ~v ~weights:(pair w bw) ~utility:bu ~honest:s.honest
 
 (* ------------------------------------------------------------------ *)
-(* Exact event-driven sweep (DESIGN §16)                               *)
+(* Two identities, exact event-driven sweep (DESIGN §16)               *)
 (* ------------------------------------------------------------------ *)
-
-(* Horner evaluation in the quadratic-surd field; [Poly.coeffs] is
-   ascending. *)
-let poly_eval_qx p x =
-  List.fold_right
-    (fun c acc -> Qx.add_q (Qx.mul acc x) c)
-    (Poly.coeffs p) (Qx.of_q Q.zero)
-
-(* Denominator of the dyadic rational witness reported when the
-   certified optimum is irrational. *)
-let witness_denom = 1 lsl 40
 
 let best_split_exact ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  (* a local decomposition cache when the caller shares none: the piece
-     walk revisits boundary splits (samples plus point probes) *)
-  let ctx =
-    match ctx.Engine.Ctx.cache with
-    | Some _ -> ctx
-    | None -> Engine.Ctx.with_cache (Engine.Cache.create ~capacity:128 ()) ctx
-  in
-  Obs.Span.with_ "best_split_exact" @@ fun () ->
-  Obs.Counter.incr c_exact_calls;
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  let cost = 1 + Graph.n g in
-  let honest =
-    match honest with
-    | Some u -> u
-    | None -> Sybil.honest_utility ~ctx:dctx g ~v
-  in
+  with_search ~span:"best_split_exact" ~calls:c_exact_calls ~local_cache:true
+    ?ctx ?budget ?honest g ~v
+  @@ fun s ->
+  let w = s.w and honest = s.honest in
   let mech w1 =
-    Budget.tick ~cost budget;
-    Sybil.split_utility ~ctx:dctx g ~v ~w1
+    Budget.tick ~cost:s.cost s.budget;
+    Sybil.split_utility ~ctx:s.dctx g ~v ~w1
   in
+  let witness_at w1 u = attack_of ~v ~weights:(pair w w1) ~utility:u ~honest in
   if Q.is_zero w then begin
     let u = mech Q.zero in
-    let witness =
-      { v; w1 = Q.zero; utility = u; honest;
-        ratio = ratio_value ~utility:u ~honest }
-    in
     {
-      witness;
+      witness = witness_at Q.zero u;
       w1_exact = Qx.of_q Q.zero;
       utility_exact = Qx.of_q u;
       ratio_exact = ratio_value_qx ~utility:(Qx.of_q u) ~honest;
@@ -224,20 +332,8 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
     }
   end
   else begin
-    let pieces = Breakpoints.exact_split_pieces ~ctx g ~v in
-    let events =
-      let rec count = function
-        | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
-            (if
-               Decompose.same_structure a.Breakpoints.structure
-                 b.Breakpoints.structure
-             then 0
-             else 1)
-            + count rest
-        | _ -> 0
-      in
-      count pieces
-    in
+    let pieces = Breakpoints.exact_split_pieces ~ctx:s.ctx g ~v in
+    let events = structure_changes pieces in
     let evals = ref 0 and criticals = ref 0 in
     let best = ref None in
     (* strict improvement only: the first candidate of a utility tie —
@@ -250,7 +346,7 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
     in
     List.iter
       (fun (p : Breakpoints.exact_piece) ->
-        Budget.tick ~cost budget;
+        Budget.tick ~cost:s.cost s.budget;
         if Qx.equal p.Breakpoints.xlo p.Breakpoints.xhi then
           (* point piece: its structure lives at one rational point, so
              evaluate the mechanism there directly *)
@@ -268,14 +364,9 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
              (Theorem 10), so closed-endpoint evaluation is sound even
              where the at-point structure differs *)
           consider_form p.xlo;
-          (* interior critical points: roots of N'·D − N·D', which the
-             degree-≤2 derivative theorem (DESIGN §16) trims to a
-             quadratic *)
-          let e =
-            Poly.sub
-              (Poly.mul (Poly.derive num) den)
-              (Poly.mul num (Poly.derive den))
-          in
+          (* interior critical points, which the degree-≤2 derivative
+             theorem (DESIGN §16) trims to the roots of a quadratic *)
+          let e = derivative_numerator (num, den) in
           if Poly.degree e > 2 then
             invalid_arg
               "Incentive.best_split_exact: derivative numerator exceeds \
@@ -304,31 +395,22 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
         (* the certified closed form and the mechanism must agree at any
            rational optimum *)
         assert (Qx.compare_q ux u = 0);
-        { v; w1; utility = u; honest; ratio = ratio_value ~utility:u ~honest }
+        witness_at w1 u
       end
       else begin
-        (* irrational optimum: report the better of the two dyadic
-           rationals bracketing it at denominator 2^40 — the utility is
-           continuous, so the witness sits within vanishing distance of
-           the certified supremum *)
-        let scaled = Qx.mul_q w1x (Q.of_int witness_denom) in
-        let lo = Q.make (Qx.floor scaled) (Bigint.of_int witness_denom) in
-        let hi = Q.add lo (Q.of_ints 1 witness_denom) in
+        (* irrational optimum: report the better of its two dyadic
+           brackets — the utility is continuous, so the witness sits
+           within vanishing distance of the certified supremum *)
+        let lo, hi = dyadic_bracket w1x in
         let cands =
           List.sort_uniq Q.compare [ clamp Q.zero w lo; clamp Q.zero w hi ]
         in
-        let vals = List.map (fun w1 -> (w1, mech w1)) cands in
-        let bw, bu =
-          List.fold_left
-            (fun (bw, bu) (w1, u) ->
-              if Q.compare u bu > 0 then (w1, u) else (bw, bu))
-            (List.hd vals) (List.tl vals)
-        in
-        { v; w1 = bw; utility = bu; honest;
-          ratio = ratio_value ~utility:bu ~honest }
+        let c0 = List.hd cands in
+        let bw, bu = first_best mech (List.tl cands) (c0, mech c0) in
+        witness_at bw bu
       end
     in
-    if Engine.Ctx.obs_enabled ctx then begin
+    if Engine.Ctx.obs_enabled s.ctx then begin
       Obs.Counter.add c_exact_pieces (List.length pieces);
       Obs.Counter.add c_exact_events events;
       Obs.Counter.add c_exact_criticals !criticals;
@@ -344,267 +426,63 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
     }
   end
 
-(* [best_split] routes on the context's sweep policy: [Grid] keeps the
-   historical grid-with-zoom search bit-identical, [Exact] returns the
-   certified optimum's rational witness. *)
-let best_split ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.get ctx in
-  match ctx.Engine.Ctx.sweep with
-  | Engine.Grid -> best_split_grid ~ctx ?budget ?honest g ~v
-  | Engine.Exact -> (best_split_exact ~ctx ?budget ?honest g ~v).witness
-
-let better a b = if Q.compare a.ratio b.ratio > 0 then a else b
-
-(* First argument wins ties, so folding left to right keeps the earliest
-   vertex of a ratio tie — matching the grid search's tie rule. *)
-let better_exact earlier later =
-  if Qx.compare later.ratio_exact earlier.ratio_exact > 0 then later
-  else earlier
-
-let best_attack_exact ?ctx ?budget g =
-  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  Obs.Span.with_ "best_attack_exact" @@ fun () ->
-  Obs.Counter.incr c_attack_calls;
-  (* shared honest decomposition, exactly as in the grid search *)
-  let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
-  Obs.Counter.add c_honest_shared (Graph.n g);
-  let split_ctx = Engine.Ctx.with_domains 1 ctx in
-  let attacks =
-    (* per-vertex searches are independent; the shared budget counter is
-       atomic, so one budget meters all domains *)
-    Parwork.map ~domains:ctx.Engine.Ctx.domains
-      (fun v ->
-        best_split_exact ~ctx:split_ctx ~honest:(Utility.of_vertex g d v) g
-          ~v)
-      (Array.init (Graph.n g) Fun.id)
-  in
-  Array.fold_left
-    (fun best a ->
-      match best with None -> Some a | Some b -> Some (better_exact b a))
-    None attacks
-  |> Option.get
-
-let best_attack_grid ?ctx ?budget g =
-  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  Obs.Span.with_ "best_attack" @@ fun () ->
-  Obs.Counter.incr c_attack_calls;
-  (* the honest utilities of all vertices come from one decomposition of
-     the unmodified ring; computing it once here instead of once per
-     vertex inside best_split saves n-1 full decompositions *)
-  let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
-  Obs.Counter.add c_honest_shared (Graph.n g);
-  (* parallelism lives at the vertex level: each best_split runs
-     sequentially on its worker domain (nested fan-out would
-     oversubscribe), while the context's cache is shared by all *)
-  let split_ctx = Engine.Ctx.with_domains 1 ctx in
-  let fanout =
-    if (ctx.Engine.Ctx.grid + 1) * (ctx.Engine.Ctx.refine + 1)
-       < parallel_evals_min
-    then 1
-    else ctx.Engine.Ctx.domains
-  in
-  let attacks =
-    (* per-vertex searches are independent pure computations; spread them
-       over domains when asked.  The budget's step counter is atomic, so
-       one budget meters all domains; Parwork re-raises the first
-       Exhausted after every domain has joined. *)
-    Parwork.map ~domains:fanout
-      (fun v ->
-        best_split ~ctx:split_ctx ~honest:(Utility.of_vertex g d v) g ~v)
-      (Array.init (Graph.n g) Fun.id)
-  in
-  Array.fold_left
-    (fun best a ->
-      match best with None -> Some a | Some b -> Some (better a b))
-    None attacks
-  |> Option.get
-
-(* [best_attack] routes on the sweep policy.  Under [Exact] the winner
-   is selected by the certified exact ratio — two vertices whose grid
-   estimates tie can rank differently once resolved exactly. *)
-let best_attack ?ctx ?budget g =
-  let ctx = Engine.Ctx.get ctx in
-  match ctx.Engine.Ctx.sweep with
-  | Engine.Grid -> best_attack_grid ~ctx ?budget g
-  | Engine.Exact -> (best_attack_exact ~ctx ?budget g).witness
-
 (* ------------------------------------------------------------------ *)
-(* k-identity split vectors (ctx.identities ≥ 3)                       *)
+(* k ≥ 3 identities, grid sweep over the (k−1)-simplex                 *)
 (* ------------------------------------------------------------------ *)
 
-type kattack = {
-  v : int;
-  weights : Q.t array;
-  utility : Q.t;
-  honest : Q.t;
-  ratio : Q.t;
-}
+let kway_counters = (c_kway_lookups, c_kway_hits, c_kway_misses)
 
-(* Memo over full weight vectors: entries are normalised rationals, so
-   pointwise Q.equal / Q.hash are semantic. *)
-module QVTbl = Hashtbl.Make (struct
-  type t = Q.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i = Array.length a || (Q.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun acc x -> (acc * 31) + Q.hash x) 17 a
-end)
-
-let vec_compare a b =
-  let rec go i =
-    if i = Array.length a then 0
-    else match Q.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
+(* The weight vectors of [k] entries summing to [w] whose free
+   coordinates 0..k−2 lie on their windows' [grid]-point lattices (the
+   last coordinate absorbs the remainder; lattice points overshooting
+   the simplex are dropped).  The rightmost free coordinate varies
+   fastest, so the enumeration order — and with it the first-of-a-tie
+   winner — is deterministic. *)
+let simplex_points ~w ~grid windows =
+  let axes =
+    Array.map
+      (fun (lo, hi) ->
+        let step = Q.div_int (Q.sub hi lo) grid in
+        if Q.is_zero step then [ lo ]
+        else
+          List.init (grid + 1) (fun i ->
+              clamp Q.zero w (Q.add lo (Q.mul_int step i))))
+      windows
   in
-  go 0
-
-let c_kway_points = Obs.Counter.make ~subsystem:"incentive" "kway_points"
-let c_kway_rounds = Obs.Counter.make ~subsystem:"incentive" "kway_rounds"
-
-let c_kway_exact_events =
-  Obs.Counter.make ~subsystem:"incentive" "kway_exact_events"
-
-let c_kway_lookups =
-  Obs.Counter.make ~subsystem:"incentive" "kway_memo_lookups"
-
-let c_kway_hits = Obs.Counter.make ~subsystem:"incentive" "kway_memo_hits"
-let c_kway_misses = Obs.Counter.make ~subsystem:"incentive" "kway_memo_misses"
-
-let kattack_of_attack g (a : attack) =
-  let w = Graph.weight g a.v in
-  {
-    v = a.v;
-    weights = [| a.w1; Q.sub w a.w1 |];
-    utility = a.utility;
-    honest = a.honest;
-    ratio = a.ratio;
-  }
-
-(* First argument (the fresher vertex in fold order) wins only on strict
-   improvement — same tie rule as [better]. *)
-let better_k (a : kattack) (b : kattack) =
-  if Q.compare a.ratio b.ratio > 0 then a else b
-
-(* Per-search memo for k-way sweeps, keyed by the full weight vector;
-   each distinct vector is evaluated — and budget-charged, cost [1 + n]
-   — exactly once per search.  Callers pass deduplicated batches;
-   [kway_memo_hits + kway_memo_misses = kway_memo_lookups] by
-   construction. *)
-let kway_evaluator ~ctx ~budget g ~v =
-  let dctx = Engine.Ctx.without_budget ctx in
-  let cost = 1 + Graph.n g in
-  let cache = QVTbl.create 64 in
-  let eval ws =
-    Budget.tick ~cost budget;
-    Sybil.splitk_utility ~ctx:dctx g { Sybil.v; weights = ws }
+  let rec cart i =
+    if i = Array.length axes then [ [] ]
+    else
+      let rest = cart (i + 1) in
+      List.concat_map (fun x -> List.map (fun tl -> x :: tl) rest) axes.(i)
   in
-  let eval_batch vecs =
-    let fresh = List.filter (fun ws -> not (QVTbl.mem cache ws)) vecs in
-    if Engine.Ctx.obs_enabled ctx then begin
-      let lookups = List.length vecs and misses = List.length fresh in
-      Obs.Counter.add c_kway_lookups lookups;
-      Obs.Counter.add c_kway_misses misses;
-      Obs.Counter.add c_kway_hits (lookups - misses)
-    end;
-    match fresh with
-    | [] -> ()
-    | [ ws ] -> QVTbl.replace cache ws (eval ws)
-    | _
-      when ctx.Engine.Ctx.domains > 1
-           && List.length fresh >= parallel_points_min ->
-        (* independent decompositions; the shared budget counter is
-           atomic and results land by index, so the filled memo is
-           identical to the sequential one *)
-        let arr = Array.of_list fresh in
-        let us = Parwork.map ~domains:ctx.Engine.Ctx.domains eval arr in
-        Array.iteri (fun i u -> QVTbl.replace cache arr.(i) u) us
-    | _ -> List.iter (fun ws -> QVTbl.replace cache ws (eval ws)) fresh
-  in
-  let get ws =
-    match QVTbl.find_opt cache ws with
-    | Some u -> u
-    | None -> assert false
-  in
-  (cache, eval_batch, get)
+  List.filter_map
+    (fun free ->
+      let sum = List.fold_left Q.add Q.zero free in
+      if Q.compare sum w > 0 then None
+      else Some (Array.of_list (free @ [ Q.sub w sum ])))
+    (cart 0)
 
-(* Grid mode over the (k−1)-simplex: the free coordinates 0..k−2 each
-   sweep a [grid]-point window (the last coordinate absorbs the
-   remainder; lattice points overshooting the simplex are dropped), and
-   each zoom round shrinks every free coordinate's window ±step around
-   the best vector — the direct generalisation of [best_split_grid]'s
-   per-coordinate grid-with-zoom. *)
-let best_splitk_grid ~ctx ?honest g ~v =
-  let ctx = Engine.Ctx.arm ctx in
-  let k = ctx.Engine.Ctx.identities in
-  let { Engine.Ctx.grid; refine; _ } = ctx in
+(* The free coordinates 0..k−2 each sweep a [grid]-point window (the
+   last coordinate absorbs the remainder; lattice points overshooting
+   the simplex are dropped), and each zoom round shrinks every free
+   coordinate's window ±step around the best vector — the direct
+   generalisation of [split_grid]'s per-coordinate grid-with-zoom. *)
+let splitk_grid ?ctx ?budget ?honest g ~v =
+  let { Engine.Ctx.grid; refine; identities = k; _ } = Engine.Ctx.get ctx in
   if grid < 2 then invalid_arg "Incentive.best_splitk: grid too small";
-  Obs.Span.with_ "best_splitk" @@ fun () ->
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  let honest =
-    match honest with
-    | Some u -> u
-    | None -> Sybil.honest_utility ~ctx:dctx g ~v
-  in
-  let cache, eval_batch, _get = kway_evaluator ~ctx ~budget g ~v in
-  let vec_of free =
-    let ws = Array.make k Q.zero in
-    let sum = ref Q.zero in
-    Array.iteri
-      (fun i x ->
-        ws.(i) <- x;
-        sum := Q.add !sum x)
-      free;
-    ws.(k - 1) <- Q.sub w !sum;
-    ws
-  in
-  let points_of windows =
-    let axes =
-      Array.map
-        (fun (lo, hi) ->
-          let step = Q.div_int (Q.sub hi lo) grid in
-          if Q.is_zero step then [ lo ]
-          else
-            List.init (grid + 1) (fun i ->
-                clamp Q.zero w (Q.add lo (Q.mul_int step i))))
-        windows
-    in
-    (* rightmost free coordinate varies fastest, so the enumeration
-       order — and with it the first-of-a-tie winner — is deterministic *)
-    let rec cart i =
-      if i = Array.length axes then [ [] ]
-      else
-        let rest = cart (i + 1) in
-        List.concat_map (fun x -> List.map (fun tl -> x :: tl) rest) axes.(i)
-    in
-    List.filter_map
-      (fun free ->
-        let free = Array.of_list free in
-        let sum = Array.fold_left Q.add Q.zero free in
-        if Q.compare sum w > 0 then None else Some (vec_of free))
-      (cart 0)
-  in
-  let best_of points acc =
-    List.fold_left
-      (fun (bv, bu) ws ->
-        match QVTbl.find_opt cache ws with
-        | Some u when Q.compare u bu > 0 -> (ws, u)
-        | _ -> (bv, bu))
-      acc points
+  with_search ~span:"best_splitk" ?ctx ?budget ?honest g ~v @@ fun s ->
+  let w = s.w in
+  let memo =
+    Vec_memo.create s ~counters:kway_counters (fun weights ->
+        Sybil.splitk_utility ~ctx:s.dctx g { Sybil.v; weights })
   in
   let sweep windows extras acc =
-    let points = extras @ points_of windows in
+    let points = extras @ simplex_points ~w ~grid windows in
     let deduped = List.sort_uniq vec_compare points in
-    if Engine.Ctx.obs_enabled ctx then
+    if Engine.Ctx.obs_enabled s.ctx then
       Obs.Counter.add c_kway_points (List.length points);
-    eval_batch deduped;
-    best_of points acc
+    memo.batch deduped;
+    first_best (Vec_memo.get memo) points acc
   in
   let uniform = Array.make k (Q.div_int w k) in
   let rec zoom windows extras rounds (bv, bu) =
@@ -625,53 +503,22 @@ let best_splitk_grid ~ctx ?honest g ~v =
   in
   (* seed: the uniform vector's real mechanism value, so the starting
      accumulator never reports an unevaluated point *)
-  eval_batch [ uniform ];
-  let u0 =
-    match QVTbl.find_opt cache uniform with
-    | Some u -> u
-    | None -> assert false
-  in
+  memo.batch [ uniform ];
   let windows0 = Array.make (k - 1) (Q.zero, w) in
-  let bv, bu = zoom windows0 [ uniform ] refine (uniform, u0) in
-  if Engine.Ctx.obs_enabled ctx then
-    Obs.Gauge.set_max g_cache (QVTbl.length cache);
-  { v; weights = bv; utility = bu; honest; ratio = ratio_value ~utility:bu ~honest }
-
-(* Full simplex lattice at one resolution: every vector of [k] weights
-   from the step grid summing to [w] (last coordinate absorbs the
-   remainder), in the same rightmost-fastest order as the grid sweep. *)
-let simplex_lattice ~k ~w ~grid =
-  let step = Q.div_int w grid in
-  let rec go m remaining acc =
-    if m = 1 then [ Array.of_list (List.rev (remaining :: acc)) ]
-    else
-      List.concat
-        (List.filter_map
-           (fun i ->
-             let x = Q.mul_int step i in
-             if Q.compare x remaining > 0 then None
-             else Some (go (m - 1) (Q.sub remaining x) (x :: acc)))
-           (List.init (grid + 1) Fun.id))
+  let bv, bu =
+    zoom windows0 [ uniform ] refine (uniform, Vec_memo.get memo uniform)
   in
-  if Q.is_zero step then [ Array.make k Q.zero ] else go k w []
+  if Engine.Ctx.obs_enabled s.ctx then
+    Obs.Gauge.set_max g_cache (Vec_memo.size memo);
+  attack_of ~v ~weights:bv ~utility:bu ~honest:s.honest
 
-let count_structure_changes pieces =
-  let rec count = function
-    | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
-        (if
-           Decompose.same_structure a.Breakpoints.structure
-             b.Breakpoints.structure
-         then 0
-         else 1)
-        + count rest
-    | _ -> 0
-  in
-  count pieces
+(* ------------------------------------------------------------------ *)
+(* k ≥ 3 identities, exact slice-wise coordinate descent               *)
+(* ------------------------------------------------------------------ *)
 
 let kway_max_rounds = 64
 
-(* Exact mode at k ≥ 3: coordinate descent over certified 1-D slices.
-   Each inner step pairs one free coordinate with the last identity
+(* Each inner step pairs one free coordinate with the last identity
    (their sum [total] fixed, every other coordinate frozen), enumerates
    that slice's structure-constant pieces exactly
    ([Breakpoints.exact_slice_pieces] on the materialised split path) and
@@ -679,39 +526,29 @@ let kway_max_rounds = 64
    critical points of each piece's closed-form utility (exact quadratic
    roots when the derivative numerator has degree ≤ 2, Sturm-isolated
    bracket midpoints above that, irrational points replaced by their
-   dyadic 2⁻⁴⁰ brackets).  Every candidate is judged by an actual
-   mechanism evaluation through the shared memo, the current point is
-   always among the candidates, and only strict improvements move — so
-   the descent terminates at a point no walked slice can improve: a
+   dyadic brackets).  Every candidate is judged by an actual mechanism
+   evaluation through the shared memo, the current point is always
+   among the candidates, and only strict improvements move — so the
+   descent terminates at a point no walked slice can improve: a
    certified local optimum of the simplex along coordinate lines (every
    reported value is an exactly-evaluated mechanism value, never a
    closed-form extrapolation). *)
-let best_splitk_exact ~ctx ?honest g ~v =
-  let ctx = Engine.Ctx.arm ctx in
-  let ctx =
-    match ctx.Engine.Ctx.cache with
-    | Some _ -> ctx
-    | None -> Engine.Ctx.with_cache (Engine.Cache.create ~capacity:128 ()) ctx
+let splitk_exact ?ctx ?budget ?honest g ~v =
+  let k = (Engine.Ctx.get ctx).Engine.Ctx.identities in
+  with_search ~span:"best_splitk_exact" ~local_cache:true ?ctx ?budget
+    ?honest g ~v
+  @@ fun s ->
+  let w = s.w in
+  let memo =
+    Vec_memo.create s ~counters:kway_counters (fun weights ->
+        Sybil.splitk_utility ~ctx:s.dctx g { Sybil.v; weights })
   in
-  let k = ctx.Engine.Ctx.identities in
-  Obs.Span.with_ "best_splitk_exact" @@ fun () ->
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  let honest =
-    match honest with
-    | Some u -> u
-    | None -> Sybil.honest_utility ~ctx:dctx g ~v
-  in
-  let _cache, eval_batch, get_cached = kway_evaluator ~ctx ~budget g ~v in
-  let finish ws u =
-    { v; weights = ws; utility = u; honest;
-      ratio = ratio_value ~utility:u ~honest }
-  in
+  let get = Vec_memo.get memo in
+  let finish ws u = attack_of ~v ~weights:ws ~utility:u ~honest:s.honest in
   if Q.is_zero w then begin
     let ws = Array.make k Q.zero in
-    eval_batch [ ws ];
-    finish ws (get_cached ws)
+    memo.batch [ ws ];
+    finish ws (get ws)
   end
   else begin
     (* Deterministic global seeding: a coarse simplex lattice pre-pass
@@ -719,38 +556,33 @@ let best_splitk_exact ~ctx ?honest g ~v =
        the local search does not hinge on the uniform point's basin.
        The uniform vector goes first — on a lattice tie it wins. *)
     let seeds =
-      Array.make k (Q.div_int w k) :: simplex_lattice ~k ~w ~grid:4
+      Array.make k (Q.div_int w k)
+      :: simplex_points ~w ~grid:4 (Array.make (k - 1) (Q.zero, w))
     in
-    eval_batch (List.sort_uniq vec_compare seeds);
-    if Engine.Ctx.obs_enabled ctx then
+    memo.batch (List.sort_uniq vec_compare seeds);
+    if Engine.Ctx.obs_enabled s.ctx then
       Obs.Counter.add c_kway_points (List.length seeds);
-    let x = ref (List.hd seeds) in
-    let best_u = ref (get_cached !x) in
-    List.iter
-      (fun ws ->
-        let u = get_cached ws in
-        if Q.compare u !best_u > 0 then begin
-          x := ws;
-          best_u := u
-        end)
-      (List.tl seeds);
+    let x0, u0 =
+      first_best get (List.tl seeds) (List.hd seeds, get (List.hd seeds))
+    in
+    let x = ref x0 and best_u = ref u0 in
     let improved = ref true in
     let rounds = ref 0 in
     while !improved && !rounds < kway_max_rounds do
       improved := false;
       incr rounds;
-      if Engine.Ctx.obs_enabled ctx then Obs.Counter.incr c_kway_rounds;
+      if Engine.Ctx.obs_enabled s.ctx then Obs.Counter.incr c_kway_rounds;
       for i = 0 to k - 2 do
         let total = Q.add (!x).(i) (!x).(k - 1) in
         if Q.sign total > 0 then begin
           let ks = Sybil.splitk g { Sybil.v; weights = !x } in
           let v1 = ks.Sybil.ids.(i) and v2 = ks.Sybil.ids.(k - 1) in
           let pieces =
-            Breakpoints.exact_slice_pieces ~ctx ks.Sybil.kpath ~v1 ~v2 ~total
+            Breakpoints.exact_slice_pieces ~ctx:s.ctx ks.Sybil.kpath ~v1 ~v2
+              ~total
           in
-          if Engine.Ctx.obs_enabled ctx then
-            Obs.Counter.add c_kway_exact_events
-              (count_structure_changes pieces);
+          if Engine.Ctx.obs_enabled s.ctx then
+            Obs.Counter.add c_kway_exact_events (structure_changes pieces);
           let cands = ref [ (!x).(i) ] in
           let addc c =
             if Q.sign c >= 0 && Q.compare c total <= 0 then
@@ -759,12 +591,9 @@ let best_splitk_exact ~ctx ?honest g ~v =
           let add_qx r =
             if Qx.is_rational r then addc (Qx.to_q_exn r)
             else begin
-              (* irrational slice point: its dyadic bracket at
-                 denominator 2^40 (cf. the exact sweep's witness) *)
-              let scaled = Qx.mul_q r (Q.of_int witness_denom) in
-              let lo = Q.make (Qx.floor scaled) (Bigint.of_int witness_denom) in
+              let lo, hi = dyadic_bracket r in
               addc lo;
-              addc (Q.add lo (Q.of_ints 1 witness_denom))
+              addc hi
             end
           in
           List.iter
@@ -773,15 +602,11 @@ let best_splitk_exact ~ctx ?honest g ~v =
               add_qx p.Breakpoints.xlo;
               add_qx p.Breakpoints.xhi;
               if not (Qx.equal p.Breakpoints.xlo p.Breakpoints.xhi) then begin
-                let num, den =
-                  Symbolic.slice_utility_function ks.Sybil.kpath ~v1 ~v2
-                    ~total ~structure:p.Breakpoints.structure
-                    ~ids:ks.Sybil.ids
-                in
                 let e =
-                  Poly.sub
-                    (Poly.mul (Poly.derive num) den)
-                    (Poly.mul num (Poly.derive den))
+                  derivative_numerator
+                    (Symbolic.slice_utility_function ks.Sybil.kpath ~v1 ~v2
+                       ~total ~structure:p.Breakpoints.structure
+                       ~ids:ks.Sybil.ids)
                 in
                 if not (Poly.is_zero e) then
                   if Poly.degree e <= 2 then
@@ -830,17 +655,11 @@ let best_splitk_exact ~ctx ?honest g ~v =
                 ws)
               !cands
           in
-          eval_batch (List.sort_uniq vec_compare vecs);
+          memo.batch (List.sort_uniq vec_compare vecs);
           (* first of a utility tie — in candidate discovery order —
              wins; the current point is candidate zero, so a plateau
              never moves *)
-          let bw, bu =
-            List.fold_left
-              (fun (bv, bu) ws ->
-                let u = get_cached ws in
-                if Q.compare u bu > 0 then (ws, u) else (bv, bu))
-              (!x, !best_u) vecs
-          in
+          let bw, bu = first_best get vecs (!x, !best_u) in
           if Q.compare bu !best_u > 0 then begin
             x := bw;
             best_u := bu;
@@ -852,147 +671,189 @@ let best_splitk_exact ~ctx ?honest g ~v =
     finish !x !best_u
   end
 
-(* [best_splitk] subsumes [best_split]: at the default two identities it
-   delegates to the historical search (bit-identical, both sweep modes)
-   and wraps the pair as a length-2 vector. *)
-let best_splitk ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  if Int.equal ctx.Engine.Ctx.identities 2 then
-    kattack_of_attack g (best_split ~ctx ?honest g ~v)
-  else
-    match ctx.Engine.Ctx.sweep with
-    | Engine.Grid -> best_splitk_grid ~ctx ?honest g ~v
-    | Engine.Exact -> best_splitk_exact ~ctx ?honest g ~v
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
 
-let best_attack_k ?ctx ?budget g =
+(* The one per-vertex dispatch on (identities, sweep).  The exact
+   2-split also returns its certificate, which ranks vertices. *)
+let search_vertex ?ctx ?budget ?honest g ~v =
+  let c = Engine.Ctx.get ctx in
+  match (c.Engine.Ctx.identities, c.Engine.Ctx.sweep) with
+  | 2, Engine.Grid -> (split_grid ?ctx ?budget ?honest g ~v, None)
+  | 2, Engine.Exact ->
+      let e = best_split_exact ?ctx ?budget ?honest g ~v in
+      (e.witness, Some e)
+  | _, Engine.Grid -> (splitk_grid ?ctx ?budget ?honest g ~v, None)
+  | _, Engine.Exact -> (splitk_exact ?ctx ?budget ?honest g ~v, None)
+
+let best_split ?ctx ?budget ?honest g ~v =
+  fst (search_vertex ?ctx ?budget ?honest g ~v)
+
+(* The earlier vertex wins ties.  Certified results rank by the exact
+   ratio: two vertices whose witnesses tie can differ once resolved. *)
+let better ((a, ea) as earlier) ((b, eb) as later) =
+  let later_wins =
+    match (ea, eb) with
+    | Some ea, Some eb -> Qx.compare eb.ratio_exact ea.ratio_exact > 0
+    | _ -> Q.compare b.ratio a.ratio > 0
+  in
+  if later_wins then later else earlier
+
+(* The one vertex fan-out: the honest utilities of all vertices come
+   from one decomposition of the unmodified ring (n−1 decompositions
+   saved), and parallelism lives at the vertex level — each search runs
+   sequentially on its worker domain, sharing the context's cache.  The
+   budget's step counter is atomic, so one budget meters all domains;
+   Parwork re-raises the first Exhausted after every domain has
+   joined. *)
+let attack_all ?ctx ?budget g =
   if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
   let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  if Int.equal ctx.Engine.Ctx.identities 2 then
-    kattack_of_attack g (best_attack ~ctx g)
-  else begin
-    Obs.Span.with_ "best_attack_k" @@ fun () ->
-    Obs.Counter.incr c_attack_calls;
-    (* shared honest decomposition, exactly as in the 2-split searches *)
-    let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
-    Obs.Counter.add c_honest_shared (Graph.n g);
-    let split_ctx = Engine.Ctx.with_domains 1 ctx in
-    let attacks =
-      Parwork.map ~domains:ctx.Engine.Ctx.domains
-        (fun v ->
-          let honest = Utility.of_vertex g d v in
-          match ctx.Engine.Ctx.sweep with
-          | Engine.Grid -> best_splitk_grid ~ctx:split_ctx ~honest g ~v
-          | Engine.Exact -> best_splitk_exact ~ctx:split_ctx ~honest g ~v)
-        (Array.init (Graph.n g) Fun.id)
-    in
-    Array.fold_left
-      (fun best a ->
-        match best with None -> Some a | Some b -> Some (better_k a b))
-      None attacks
-    |> Option.get
-  end
+  let { Engine.Ctx.identities; sweep; grid; refine; domains; _ } = ctx in
+  let span, fanout =
+    match (identities, sweep) with
+    | 2, Engine.Grid ->
+        ( "best_attack",
+          if (grid + 1) * (refine + 1) < parallel_evals_min then 1
+          else domains )
+    | 2, Engine.Exact -> ("best_attack_exact", domains)
+    | _ -> ("best_attack_k", domains)
+  in
+  Obs.Span.with_ span @@ fun () ->
+  Obs.Counter.incr c_attack_calls;
+  let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
+  Obs.Counter.add c_honest_shared (Graph.n g);
+  let split_ctx = Engine.Ctx.with_domains 1 ctx in
+  Parwork.map ~domains:fanout
+    (fun v ->
+      search_vertex ~ctx:split_ctx ~honest:(Utility.of_vertex g d v) g ~v)
+    (Array.init (Graph.n g) Fun.id)
+  |> Array.fold_left
+       (fun best a ->
+         match best with None -> Some a | Some b -> Some (better b a))
+       None
+  |> Option.get
+
+let best_attack ?ctx ?budget g = fst (attack_all ?ctx ?budget g)
+
+let best_attack_exact ?ctx ?budget g =
+  let ctx =
+    Engine.Ctx.get ctx |> Engine.Ctx.with_identities 2
+    |> Engine.Ctx.with_sweep Engine.Exact
+  in
+  match attack_all ~ctx ?budget g with
+  | _, Some e -> e
+  | _, None -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Fault-tolerant scan with checkpoints                                *)
+(* ------------------------------------------------------------------ *)
 
 type progress = {
   best : attack option;
   best_exact : exact_attack option;
-  best_k : kattack option;
   completed : int;
   total : int;
   status : (unit, Ringshare_error.t) result;
 }
 
-let attack_fields = function
-  | None -> [ ("best", "none") ]
-  | Some (a : attack) ->
-      [
-        ("best", "some");
-        ("best_v", string_of_int a.v);
-        ("best_w1", Q.to_string a.w1);
-        ("best_utility", Q.to_string a.utility);
-        ("best_honest", Q.to_string a.honest);
-        ("best_ratio", Q.to_string a.ratio);
-      ]
+(* The best-so-far rides under [best_*] fields at two identities (the
+   split as [best_w1]; the exact sweep's certificate as [exact_*] Qx
+   strings next to it) and under [kbest_*] fields above (the weight
+   vector ";"-joined), so every layout written so far still loads. *)
+let prefix identities = if identities >= 3 then "kbest" else "best"
 
-let attack_of_fields fields =
-  match Checkpoint.field fields "best" with
+let best_fields ~identities = function
+  | None -> [ (prefix identities, "none") ]
+  | Some ((a : attack), e) ->
+      let p = prefix identities in
+      [
+        (p, "some");
+        (p ^ "_v", string_of_int a.v);
+        (if identities >= 3 then
+           ("kbest_weights", Checkpoint.rationals_to_string a.weights)
+         else ("best_w1", Q.to_string a.w1));
+        (p ^ "_utility", Q.to_string a.utility);
+        (p ^ "_honest", Q.to_string a.honest);
+        (p ^ "_ratio", Q.to_string a.ratio);
+      ]
+      @
+      match e with
+      | None -> []
+      | Some e ->
+          [
+            ("exact_w1", Qx.to_string e.w1_exact);
+            ("exact_utility", Qx.to_string e.utility_exact);
+            ("exact_ratio", Qx.to_string e.ratio_exact);
+            ("exact_pieces", string_of_int e.pieces);
+            ("exact_events", string_of_int e.events);
+          ]
+
+let qx_field =
+  Checkpoint.typed_field
+    (fun s ->
+      match Qx.of_string s with
+      | x -> Some x
+      | exception (Invalid_argument _ | Failure _ | Division_by_zero) -> None)
+    "surd"
+
+(* Loading re-checks what the scan would have guaranteed: the vertex
+   exists, its weight vector splits [w_v] over [identities] non-negative
+   entries, and each ratio is its utility over the honest one. *)
+let best_of_fields ~ctx g fields =
+  let { Engine.Ctx.identities = k; sweep; _ } = ctx in
+  let p = prefix k in
+  match Checkpoint.field fields p with
   | "none" -> None
   | "some" ->
-      Some
-        {
-          v = Checkpoint.int_field fields "best_v";
-          w1 = Q.of_string (Checkpoint.field fields "best_w1");
-          utility = Q.of_string (Checkpoint.field fields "best_utility");
-          honest = Q.of_string (Checkpoint.field fields "best_honest");
-          ratio = Q.of_string (Checkpoint.field fields "best_ratio");
-        }
-  | s ->
-      Ringshare_error.(
-        error (Invalid_input (Printf.sprintf "checkpoint: bad best marker %S" s)))
-
-(* Exact-sweep checkpoint extension: the certified optimum rides along
-   as Qx strings next to its rational witness (serialised by
-   [attack_fields]), so a killed exact scan resumes bit-identically. *)
-let exact_fields = function
-  | None -> []
-  | Some e ->
-      [
-        ("exact_w1", Qx.to_string e.w1_exact);
-        ("exact_utility", Qx.to_string e.utility_exact);
-        ("exact_ratio", Qx.to_string e.ratio_exact);
-        ("exact_pieces", string_of_int e.pieces);
-        ("exact_events", string_of_int e.events);
-      ]
-
-let exact_of_fields fields =
-  match attack_of_fields fields with
-  | None -> None
-  | Some witness ->
-      Some
-        {
-          witness;
-          w1_exact = Qx.of_string (Checkpoint.field fields "exact_w1");
-          utility_exact = Qx.of_string (Checkpoint.field fields "exact_utility");
-          ratio_exact = Qx.of_string (Checkpoint.field fields "exact_ratio");
-          pieces = Checkpoint.int_field fields "exact_pieces";
-          events = Checkpoint.int_field fields "exact_events";
-        }
-
-(* k ≥ 3 checkpoint extension: the best k-way attack rides along under
-   its own field names (the weight vector ";"-joined), so the k = 2
-   layout is untouched. *)
-let kattack_fields = function
-  | None -> [ ("kbest", "none") ]
-  | Some a ->
-      [
-        ("kbest", "some");
-        ("kbest_v", string_of_int a.v);
-        ( "kbest_weights",
-          String.concat ";" (List.map Q.to_string (Array.to_list a.weights)) );
-        ("kbest_utility", Q.to_string a.utility);
-        ("kbest_honest", Q.to_string a.honest);
-        ("kbest_ratio", Q.to_string a.ratio);
-      ]
-
-let kattack_of_fields fields =
-  match Checkpoint.field fields "kbest" with
-  | "none" -> None
-  | "some" ->
-      Some
-        {
-          v = Checkpoint.int_field fields "kbest_v";
-          weights =
-            Array.of_list
-              (List.map Q.of_string
-                 (String.split_on_char ';'
-                    (Checkpoint.field fields "kbest_weights")));
-          utility = Q.of_string (Checkpoint.field fields "kbest_utility");
-          honest = Q.of_string (Checkpoint.field fields "kbest_honest");
-          ratio = Q.of_string (Checkpoint.field fields "kbest_ratio");
-        }
-  | s ->
-      Ringshare_error.(
-        error
-          (Invalid_input (Printf.sprintf "checkpoint: bad kbest marker %S" s)))
+      let v = Checkpoint.int_field fields (p ^ "_v") in
+      if v < 0 || v >= Graph.n g then
+        Checkpoint.invalid "%s_v %d is not a vertex of the %d-vertex graph"
+          p v (Graph.n g);
+      let w = Graph.weight g v in
+      let weights =
+        if k >= 3 then Checkpoint.rationals_field fields "kbest_weights"
+        else pair w (Checkpoint.rational_field fields "best_w1")
+      in
+      if
+        Array.length weights <> k
+        || Array.exists (fun x -> Q.sign x < 0) weights
+        || not (Q.equal (Array.fold_left Q.add Q.zero weights) w)
+      then
+        Checkpoint.invalid
+          "%s weights are not %d non-negative parts of w_%d = %s" p k v
+          (Q.to_string w);
+      let utility = Checkpoint.rational_field fields (p ^ "_utility") in
+      let honest = Checkpoint.rational_field fields (p ^ "_honest") in
+      let a = attack_of ~v ~weights ~utility ~honest in
+      if not (Q.equal (Checkpoint.rational_field fields (p ^ "_ratio")) a.ratio)
+      then Checkpoint.invalid "%s_ratio is not %s_utility / %s_honest" p p p;
+      let e =
+        match sweep with
+        | Engine.Exact when k = 2 ->
+            let utility_exact = qx_field fields "exact_utility" in
+            let ratio_exact = qx_field fields "exact_ratio" in
+            if
+              not
+                (Qx.equal ratio_exact
+                   (ratio_value_qx ~utility:utility_exact ~honest))
+            then
+              Checkpoint.invalid
+                "exact_ratio is not exact_utility / best_honest";
+            Some
+              {
+                witness = a;
+                w1_exact = qx_field fields "exact_w1";
+                utility_exact;
+                ratio_exact;
+                pieces = Checkpoint.int_field fields "exact_pieces";
+                events = Checkpoint.int_field fields "exact_events";
+              }
+        | _ -> None
+      in
+      Some (a, e)
+  | s -> Checkpoint.invalid "bad %s marker %S" p s
 
 let ckpt_kind = "best-attack"
 
@@ -1001,108 +862,46 @@ let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
   let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
   let budget = Engine.Ctx.budget_or_unlimited ctx in
   let total = Graph.n g in
-  let sweep = ctx.Engine.Ctx.sweep in
-  let identities = ctx.Engine.Ctx.identities in
+  let { Engine.Ctx.sweep; identities; _ } = ctx in
   let digest = Digest.to_hex (Digest.string (Serial.to_string g)) in
-  let start, best0, best_exact0, best_k0 =
-    if not resume then (0, None, None, None)
-    else
-      match checkpoint with
-      | None ->
+  let start, best0 =
+    Checkpoint.resume ~who:"Incentive.best_attack_within" ~kind:ckpt_kind
+      ?path:checkpoint ~resume
+      ~fresh:(fun () -> (0, None))
+      (fun fields ->
+        if not (String.equal (Checkpoint.field fields "graph") digest) then
           Ringshare_error.(
             error
-              (Invalid_input
-                 "Incentive.best_attack_within: resume requires a checkpoint \
-                  path"))
-      | Some path when not (Sys.file_exists path) -> (0, None, None, None)
-      | Some path -> (
-          match Checkpoint.load ~path ~kind:ckpt_kind with
-          | Error e -> Ringshare_error.error e
-          | Ok fields ->
-              if not (String.equal (Checkpoint.field fields "graph") digest)
-              then
-                Ringshare_error.(
-                  error
-                    (Invalid_input
-                       "checkpoint was written for a different graph"))
-              else begin
-                (* pre-exact-sweep checkpoints carry no sweep marker and
-                   were necessarily written by the grid search *)
-                let ck_sweep =
-                  match List.assoc_opt "sweep" fields with
-                  | Some s -> s
-                  | None -> "grid"
-                in
-                if not (String.equal ck_sweep (Engine.sweep_name sweep)) then
-                  Ringshare_error.(
-                    error
-                      (Invalid_input
-                         (Printf.sprintf
-                            "checkpoint was written with sweep %s, resumed \
-                             with %s"
-                            ck_sweep
-                            (Engine.sweep_name sweep))));
-                (* pre-k-way checkpoints carry no identities marker and
-                   were necessarily written by the 2-split search *)
-                let ck_k =
-                  match List.assoc_opt "identities" fields with
-                  | Some s -> (
-                      match int_of_string_opt s with
-                      | Some i -> i
-                      | None ->
-                          Ringshare_error.(
-                            error
-                              (Invalid_input
-                                 (Printf.sprintf
-                                    "checkpoint: bad identities field %S" s))))
-                  | None -> 2
-                in
-                if ck_k <> identities then
-                  Ringshare_error.(
-                    error
-                      (Invalid_input
-                         (Printf.sprintf
-                            "checkpoint was written with identities %d, \
-                             resumed with %d"
-                            ck_k identities)));
-                if identities >= 3 then
-                  ( Checkpoint.int_field fields "next",
-                    None,
-                    None,
-                    kattack_of_fields fields )
-                else
-                  ( Checkpoint.int_field fields "next",
-                    attack_of_fields fields,
-                    (match sweep with
-                    | Engine.Grid -> None
-                    | Engine.Exact -> exact_of_fields fields),
-                    None )
-              end)
+              (Invalid_input "checkpoint was written for a different graph"));
+        (* snapshots predating the exact sweep were written by the grid
+           search, those predating k-identity splits by the 2-split one *)
+        Checkpoint.check_setting fields "sweep" ~default:"grid"
+          ~expected:(Engine.sweep_name sweep);
+        Checkpoint.check_setting fields "identities" ~default:"2"
+          ~expected:(string_of_int identities);
+        let next = Checkpoint.int_field fields "next" in
+        if next < 0 || next > total then
+          Checkpoint.invalid "next %d is outside 0..%d" next total;
+        (next, best_of_fields ~ctx g fields))
   in
-  let save_ckpt next best best_exact best_k =
+  let save_ckpt next best =
     match checkpoint with
     | None -> ()
     | Some path ->
-        let tail =
-          if identities >= 3 then kattack_fields best_k
-          else attack_fields best @ exact_fields best_exact
-        in
         Checkpoint.save ~path ~kind:ckpt_kind
           (("graph", digest)
           :: ("total", string_of_int total)
           :: ("next", string_of_int next)
           :: ("sweep", Engine.sweep_name sweep)
           :: ("identities", string_of_int identities)
-          :: tail)
+          :: best_fields ~identities best)
   in
   let best = ref best0 in
-  let best_exact = ref best_exact0 in
-  let best_k = ref best_k0 in
   let completed = ref start in
   let status = ref (Ok ()) in
   (* snapshot up front so an interruption before the first vertex completes
      still leaves a resumable (graph-bound) checkpoint on disk *)
-  save_ckpt start best0 best_exact0 best_k0;
+  save_ckpt start best0;
   (* honest utilities shared across vertices, as in best_attack; lazy so
      a fully-completed resume does no work and solver errors are still
      captured by the loop below *)
@@ -1113,46 +912,24 @@ let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
   in
   (* unlike best_attack, vertices stay sequential (the checkpoint is
      rewritten after each one); ctx.domains instead parallelises each
-     vertex's sweep inside best_split, which is bit-identical to the
+     vertex's sweep inside its memo, which is bit-identical to the
      sequential search — so kill/resume determinism is preserved *)
   (try
      for v = start to total - 1 do
        Budget.check budget;
        let honest = Utility.of_vertex g (Lazy.force d) v in
-       (if identities >= 3 then
-          let a =
-            match sweep with
-            | Engine.Grid -> best_splitk_grid ~ctx ~honest g ~v
-            | Engine.Exact -> best_splitk_exact ~ctx ~honest g ~v
-          in
-          best_k :=
-            Some (match !best_k with None -> a | Some b -> better_k a b)
-        else
-          match sweep with
-          | Engine.Grid ->
-              let a = best_split_grid ~ctx ~honest g ~v in
-              best :=
-                Some (match !best with None -> a | Some b -> better a b)
-          | Engine.Exact ->
-              let e = best_split_exact ~ctx ~honest g ~v in
-              let e =
-                match !best_exact with
-                | None -> e
-                | Some b -> better_exact b e
-              in
-              best_exact := Some e;
-              best := Some e.witness);
+       let a = search_vertex ~ctx ~honest g ~v in
+       best := Some (match !best with None -> a | Some b -> better b a);
        incr completed;
-       save_ckpt !completed !best !best_exact !best_k
+       save_ckpt !completed !best
      done
    with
   | Budget.Exhausted { steps; elapsed } ->
       status := Error (Ringshare_error.Budget_exhausted { steps; elapsed })
   | Ringshare_error.Error e -> status := Error e);
   {
-    best = !best;
-    best_exact = !best_exact;
-    best_k = !best_k;
+    best = Option.map fst !best;
+    best_exact = Option.bind !best snd;
     completed = !completed;
     total;
     status = !status;

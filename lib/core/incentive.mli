@@ -1,22 +1,45 @@
 (** Incentive ratio of the BD Allocation Mechanism against Sybil attacks
     (paper, Definition 7).
 
-    [ζ_v = max over splits of U'_v / U_v], and [ζ = max_v ζ_v].  The split
-    utility is a piecewise algebraic function of [w_{v¹}] whose optimum may
-    be irrational.  Two sweep policies live behind {!Engine.Ctx.t}'s
-    [sweep] field: the historical {e grid} search (exact-arithmetic grid
-    sweep with recursive zoom refinement — every reported value is an
-    exact {e certified lower bound} of the supremum), and the {e exact}
-    event-driven sweep ({!best_split_exact}), which walks the
+    [ζ_v = max over splits of U'_v / U_v], and [ζ = max_v ζ_v].  One
+    vocabulary serves every split: an {!attack} carries the attacker's
+    identity weight vector ({!Sybil.splits}), of length
+    [ctx.identities] — the paper's pairwise split at the default 2,
+    Sybil strategies with more identities above.  {!best_split}
+    searches one vertex and {!best_attack} all of them; the context
+    chooses the search.
+
+    Two sweep policies live behind {!Engine.Ctx.t}'s [sweep] field.
+    {e Grid} is an exact-arithmetic grid sweep with recursive zoom
+    refinement — at [k ≥ 3] over the [(k−1)]-simplex, one window per
+    free coordinate — so every reported value is an exact {e certified
+    lower bound} of the supremum.  {e Exact} at two identities walks the
     decomposition's breakpoints ({!Breakpoints.exact_split_pieces}) and
     maximises the closed-form utility of each piece, returning the
     supremum itself as a quadratic surd ({!Qx.t}) with no resolution
-    knobs.  Theorem 8 promises the supremum never exceeds 2. *)
+    knobs ({!best_split_exact}); at [k ≥ 3] it runs coordinate descent
+    over certified 1-D slices ({!Breakpoints.exact_slice_pieces}) and
+    stops at a point no coordinate line can improve.  Theorem 8 promises
+    the two-identity supremum never exceeds 2; with three identities the
+    ring [7;2;9;4;3] reaches 128/63.
+
+    Each search memoises its evaluations per distinct split, so every
+    split is decomposed — and budget-ticked at cost [1 + n] — once.
+    Counters (subsystem ["incentive"]): [memo_lookups] = [memo_hits] +
+    [memo_misses] and [sweep_points]/[sweep_points_deduped] for the
+    two-identity grid; [kway_memo_lookups] = [kway_memo_hits] +
+    [kway_memo_misses], [kway_points], [kway_rounds] and
+    [kway_exact_events] above; [exact_sweep_calls], [exact_pieces],
+    [exact_events], [exact_criticals] and [exact_evals] for the
+    certified sweep. *)
 
 type attack = {
   v : int;  (** the manipulative agent *)
-  w1 : Rational.t;  (** best identity-1 weight found *)
-  utility : Rational.t;  (** [U'_v] at that split *)
+  w1 : Rational.t;  (** [weights.(0)], the first identity's weight *)
+  weights : Rational.t array;
+      (** best identity weight vector found: length [ctx.identities],
+          non-negative, summing to [w_v] *)
+  utility : Rational.t;  (** [U'_v], summed over the identities *)
   honest : Rational.t;  (** [U_v] without deviation *)
   ratio : Rational.t;  (** [U'_v / U_v] *)
 }
@@ -36,33 +59,32 @@ type exact_attack = {
 val best_split :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> ?honest:Rational.t -> Graph.t ->
   v:int -> attack
-(** Sweep [w_{v¹}] over a [ctx.grid]-point subdivision of [[0, w_v]] (plus
-    the honest point [w₁⁰]), then zoom [ctx.refine] times around the best
-    point.  Solver choice, grid/refine, domains and cache policy come from
-    [ctx] ({!Engine.Ctx.default} when absent); an explicit [budget]
-    overrides the context's.
+(** Best split of [v] into [ctx.identities] identities.  Solver choice,
+    sweep, grid/refine, domains and cache policy come from [ctx]
+    ({!Engine.Ctx.default} when absent); an explicit [budget] overrides
+    the context's.  [honest] supplies an externally computed honest
+    utility [U_v] (e.g. shared across vertices by {!best_attack}); when
+    absent it is computed from the graph.
 
-    Candidate points are deduplicated (clamped extras collide with grid
-    points, and each zoom window re-visits its centre) and memoised in a
-    per-search cache keyed by [w1], so each distinct split is decomposed —
-    and budget-ticked, proportionally to the graph size — exactly once
-    per search.  That memo lives for one [best_split] call; giving the
-    context an {!Engine.Cache} additionally shares the decompositions
-    themselves across searches.
+    Under [Grid] the first free weight sweeps a [ctx.grid]-point
+    subdivision of [[0, w_v]] (at two identities plus the honest point
+    [w₁⁰], above that starting from the uniform vector [w_v / k]), then
+    zooms [ctx.refine] times around the best point; the first point of a
+    utility tie in enumeration order wins.  [ctx.domains > 1] evaluates
+    each round's fresh points in parallel; the result is identical to
+    the sequential search.  Giving the context an {!Engine.Cache} shares
+    the decompositions themselves across searches.
 
-    [ctx.domains > 1] evaluates the fresh points of each sweep round in
-    parallel over that many OCaml 5 domains; the result is identical to
-    the sequential search.  [honest] supplies an externally computed
-    honest utility [U_v] (e.g. shared across vertices by {!best_attack});
-    when absent it is computed from the graph.
-
-    With [ctx.sweep = Exact] this delegates to {!best_split_exact} and
-    returns its rational witness; the grid/refine knobs are ignored. *)
+    Under [Exact] at two identities this returns the rational witness of
+    {!best_split_exact}; at [k ≥ 3], the end point of the slice-wise
+    coordinate descent.  The grid/refine knobs are ignored.
+    @raise Invalid_argument under [Grid] when [ctx.grid < 2]. *)
 
 val best_split_exact :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> ?honest:Rational.t -> Graph.t ->
   v:int -> exact_attack
-(** The certified optimum of the split sweep: enumerate the
+(** The certified optimum of the two-identity split, whatever
+    [ctx.identities] and [ctx.sweep] say: enumerate the
     structure-constant pieces of [w_{v¹}] exactly
     ({!Breakpoints.exact_split_pieces}), maximise each piece's
     closed-form utility [N/D] ({!Symbolic.utility_function}) over its
@@ -75,88 +97,34 @@ val best_split_exact :
     Budget is ticked per sampled piece and per mechanism evaluation (the
     work is proportional to the number of events, not to a resolution);
     when the context has no {!Engine.Cache} a request-local one is used
-    so the piece walk's repeated decompositions are shared.  Counters
-    (subsystem ["incentive"]): [exact_sweep_calls], [exact_pieces],
-    [exact_events], [exact_criticals], [exact_evals]. *)
+    so the piece walk's repeated decompositions are shared. *)
 
 val best_attack :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> Graph.t -> attack
-(** [ζ] estimate: best over all vertices.  [ctx.domains > 1] spreads the
-    per-vertex searches over that many OCaml 5 domains (the result is
-    identical to the sequential search; each per-vertex [best_split] runs
-    sequentially on its worker).  A shared budget meters all domains; its
-    [Exhausted] is re-raised after they join.  The honest decomposition
-    of the unmodified ring is computed once and shared by every
-    per-vertex search.
-
-    With [ctx.sweep = Exact] this delegates to {!best_attack_exact} and
-    returns its rational witness. *)
+(** [ζ] estimate: the best {!best_split} over all vertices (first vertex
+    of a ratio tie wins; under [Exact] at two identities the certified
+    ratio ranks them, since two vertices whose witnesses tie can differ
+    once resolved).  The honest decomposition of the unmodified ring is
+    computed once and shared by every per-vertex search.
+    [ctx.domains > 1] spreads the per-vertex searches over that many
+    OCaml 5 domains (the result is identical to the sequential search;
+    each search runs sequentially on its worker), except for small
+    two-identity grid sweeps, where the fan-out would cost more than it
+    saves.  A shared budget meters all domains; its [Exhausted] is
+    re-raised after they join. *)
 
 val best_attack_exact :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> Graph.t -> exact_attack
 (** [ζ] exactly: {!best_split_exact} over all vertices, the winner
-    selected by [ratio_exact] (first vertex of a tie wins).  Shares the
-    honest decomposition and fans per-vertex searches over
-    [ctx.domains], exactly like the grid {!best_attack}. *)
-
-(** {1 k-identity split vectors}
-
-    [ctx.identities] generalises the pairwise split to a length-[k]
-    weight vector ({!Sybil.splits}).  At the default [k = 2] every
-    entry point below delegates to the historical 2-split search —
-    bit-identical in both sweep modes — and wraps the result; at
-    [k ≥ 3] the grid sweep walks the [(k−1)]-simplex (per-coordinate
-    grid-with-zoom over a shared weight-vector memo) and the exact
-    sweep runs coordinate descent over certified 1-D slices
-    ({!Breakpoints.exact_slice_pieces}), terminating at a point no
-    coordinate line can improve.  Counters (subsystem ["incentive"]):
-    [kway_points], [kway_rounds], [kway_exact_events] and the memo
-    triple [kway_memo_lookups] = [kway_memo_hits] +
-    [kway_memo_misses]. *)
-
-type kattack = {
-  v : int;  (** the manipulative agent *)
-  weights : Rational.t array;
-      (** best identity weight vector found, length [ctx.identities],
-          summing to [w_v] *)
-  utility : Rational.t;  (** [Σ_j U_{v^j}] at that split *)
-  honest : Rational.t;  (** [U_v] without deviation *)
-  ratio : Rational.t;  (** utility / honest *)
-}
-
-val best_splitk :
-  ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> ?honest:Rational.t -> Graph.t ->
-  v:int -> kattack
-(** The [k]-identity generalisation of {!best_split}, parameterised by
-    [ctx.identities].  At [k = 2] this {e is} {!best_split} (same code
-    path, both sweep modes) with the pair wrapped as [[|w1; w_v − w1|]].
-    At [k ≥ 3], [Grid] sweeps the simplex lattice ([ctx.grid] points
-    per free coordinate, [ctx.refine] zoom rounds; the first vector of
-    a utility tie in enumeration order wins) and [Exact] runs the
-    slice-wise coordinate descent.  Either way every reported utility
-    is an exactly-evaluated mechanism value and each distinct weight
-    vector is evaluated — and budget-ticked at cost [1 + n] — once per
-    search. *)
-
-val best_attack_k :
-  ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> Graph.t -> kattack
-(** Best {!best_splitk} over all vertices (first vertex of a ratio tie
-    wins), sharing the honest decomposition and fanning per-vertex
-    searches over [ctx.domains] exactly like {!best_attack}.  At
-    [ctx.identities = 2] this delegates to {!best_attack} and wraps the
-    result. *)
+    selected by [ratio_exact] (first vertex of a tie wins) — the
+    {!best_attack} of the context with [identities = 2] and
+    [sweep = Exact], certificate included. *)
 
 type progress = {
-  best : attack option;
-      (** best attack over the vertices finished so far; [None] when
-          [ctx.identities ≥ 3] (see [best_k]) *)
+  best : attack option;  (** best attack over the vertices finished so far *)
   best_exact : exact_attack option;
-      (** certified optimum so far under [ctx.sweep = Exact] (its
-          [witness] is [best]); [None] under [Grid] or when
-          [ctx.identities ≥ 3] *)
-  best_k : kattack option;
-      (** best k-way attack so far when [ctx.identities ≥ 3]; [None] at
-          the default two identities *)
+      (** its certificate under [ctx.sweep = Exact] at two identities
+          ([witness] is [best]); [None] otherwise *)
   completed : int;  (** vertices fully searched *)
   total : int;
   status : (unit, Ringshare_error.t) result;
@@ -171,14 +139,14 @@ val best_attack_within :
     searched in order, the best-so-far is returned even when the budget
     trips mid-scan, and an optional [checkpoint] file is atomically
     rewritten after every vertex.  With [resume:true] the scan continues
-    from the snapshot (validated against a digest of the graph, the
-    sweep policy {e and} the identity count it was written under —
-    pre-exact checkpoints count as grid, pre-k-way ones as two
-    identities; a cross-[k] resume is rejected as [Invalid_input]); a
-    missing checkpoint file means start from scratch.
-    With [ctx.identities ≥ 3] the per-vertex searches are {!best_splitk}
-    and the best-so-far rides in the checkpoint as a serialised weight
-    vector, surfacing as [progress.best_k].
+    from the snapshot; a missing checkpoint file means start from
+    scratch.  A snapshot is rejected as [Invalid_input] unless it matches
+    a digest of the graph, the sweep policy {e and} the identity count
+    (pre-exact snapshots count as grid, pre-k-way ones as two
+    identities), its next vertex lies in [0..n], and its best-so-far is
+    consistent: a vertex of the graph, a weight vector of
+    [ctx.identities] non-negative entries summing to [w_v], each ratio
+    its utility over the honest one.
     Killing the process and resuming reproduces the uninterrupted result
     exactly — under [Exact] the certified optimum rides in the
     checkpoint as {!Qx} strings, so the resumed [best_exact] is

@@ -80,34 +80,25 @@ let run_e2_theorem8_sweep ?(trials = 40) ?checkpoint ?(resume = false)
      family from scratch on resume reproduces the uninterrupted sweep
      exactly.  Completed rows are stored verbatim and reprinted. *)
   let start, gm0, le2_0, skipped0, rows0 =
-    if not resume then (0, Q.one, true, 0, [])
-    else
-      match checkpoint with
-      | None ->
+    Checkpoint.resume ~who:"Experiments.run_e2_theorem8_sweep" ~kind:e2_kind
+      ?path:checkpoint ~resume
+      ~fresh:(fun () -> (0, Q.one, true, 0, []))
+      (fun fields ->
+        if Checkpoint.int_field fields "trials" <> trials then
           Ringshare_error.(
             error
               (Invalid_input
-                 "Experiments.run_e2_theorem8_sweep: resume requires a \
-                  checkpoint path"))
-      | Some path when not (Sys.file_exists path) -> (0, Q.one, true, 0, [])
-      | Some path -> (
-          match Checkpoint.load ~path ~kind:e2_kind with
-          | Error e -> Ringshare_error.error e
-          | Ok fields ->
-              if Checkpoint.int_field fields "trials" <> trials then
-                Ringshare_error.(
-                  error
-                    (Invalid_input
-                       "checkpoint was written for a different sweep (trials \
-                        mismatch)"))
-              else
-                let k = Checkpoint.int_field fields "done" in
-                ( k,
-                  Q.of_string (Checkpoint.field fields "max"),
-                  Checkpoint.bool_field fields "le2",
-                  Checkpoint.int_field fields "skipped",
-                  List.init k (fun i ->
-                      Checkpoint.field fields (Printf.sprintf "row%d" i)) ))
+                 "checkpoint was written for a different sweep (trials \
+                  mismatch)"));
+        let k = Checkpoint.int_field fields "done" in
+        if k < 0 || k > nfam then
+          Checkpoint.invalid "done %d is outside 0..%d" k nfam;
+        ( k,
+          Checkpoint.rational_field fields "max",
+          Checkpoint.bool_field fields "le2",
+          Checkpoint.int_field fields "skipped",
+          List.init k (fun i ->
+              Checkpoint.field fields (Printf.sprintf "row%d" i)) ))
   in
   let global_max = ref gm0 in
   let all_le_2 = ref le2_0 in
@@ -877,12 +868,12 @@ let run_e14_kway ?(trials = 9) fmt =
        itself a lattice point and refine:0 must tie out exactly *)
     let brute = brute_attack_k g ~k:3 ~grid:6 in
     let flat =
-      Incentive.best_attack_k
+      Incentive.best_attack
         ~ctx:(Engine.Ctx.make ~grid:6 ~refine:0 ~identities:3 ())
         g
     in
     let zoomed =
-      Incentive.best_attack_k
+      Incentive.best_attack
         ~ctx:(Engine.Ctx.make ~grid:6 ~refine:2 ~identities:3 ())
         g
     in
@@ -901,7 +892,7 @@ let run_e14_kway ?(trials = 9) fmt =
     Incentive.best_attack ~ctx:(Engine.Ctx.make ~sweep:Engine.Exact ()) g5
   in
   let k3 =
-    Incentive.best_attack_k
+    Incentive.best_attack
       ~ctx:(Engine.Ctx.make ~sweep:Engine.Exact ~identities:3 ())
       g5
   in
@@ -913,8 +904,7 @@ let run_e14_kway ?(trials = 9) fmt =
     (Q.to_string k3.Incentive.ratio)
     (Q.to_float k3.Incentive.ratio)
     k3.Incentive.v
-    (String.concat ";"
-       (Array.to_list (Array.map Q.to_string k3.Incentive.weights)));
+    (Checkpoint.rationals_to_string k3.Incentive.weights);
   let record_ok =
     Q.equal k3.Incentive.ratio (Q.of_string "128/63")
     && Q.compare k2.Incentive.ratio Q.two <= 0
@@ -978,16 +968,6 @@ type hunt_result = {
 
 let hunt_kind = "hunt"
 
-(* "-" stands for the empty array: checkpoint fields cannot hold an empty
-   value, and the no-record-yet state must survive a save/load roundtrip *)
-let weights_to_string ws =
-  if Array.length ws = 0 then "-"
-  else String.concat ";" (Array.to_list (Array.map Q.to_string ws))
-
-let weights_of_string s =
-  if s = "" || s = "-" then [||]
-  else s |> String.split_on_char ';' |> List.map Q.of_string |> Array.of_list
-
 (* The search that discovered the tightness family: random rings with
    mixed weight magnitudes, best attack per instance, report the record
    holders.  The best-so-far ratio is tracked in exact arithmetic, so an
@@ -1004,62 +984,32 @@ let hunt ?ctx ?checkpoint ?(resume = false) ?(budget = Budget.unlimited)
   in
   let fresh () = (Prng.create seed, 1, Q.zero, 0, 0, [||], 0) in
   let rng, start, ratio0, trial0, v0, ws0, failed0 =
-    if not resume then fresh ()
-    else
-      match checkpoint with
-      | None ->
+    Checkpoint.resume ~who:"Experiments.hunt" ~kind:hunt_kind
+      ?path:checkpoint ~resume ~fresh
+      (fun fields ->
+        if
+          Checkpoint.int_field fields "seed" <> seed
+          || Checkpoint.int_field fields "trials" <> trials
+        then
           Ringshare_error.(
             error
               (Invalid_input
-                 "Experiments.hunt: resume requires a checkpoint path"))
-      | Some path when not (Sys.file_exists path) -> fresh ()
-      | Some path -> (
-          match Checkpoint.load ~path ~kind:hunt_kind with
-          | Error e -> Ringshare_error.error e
-          | Ok fields ->
-              if
-                Checkpoint.int_field fields "seed" <> seed
-                || Checkpoint.int_field fields "trials" <> trials
-              then
-                Ringshare_error.(
-                  error
-                    (Invalid_input
-                       "checkpoint was written for a different hunt \
-                        (seed/trials mismatch)"))
-              else if
-                (* pre-k-way checkpoints carry no identities field and
-                   count as two; a cross-k resume would replay the same
-                   rng stream into a different search space *)
-                (match List.assoc_opt "identities" fields with
-                 | None -> 2
-                 | Some s -> (
-                     match int_of_string_opt s with
-                     | Some k -> k
-                     | None ->
-                         Ringshare_error.(
-                           error
-                             (Invalid_input
-                                (Printf.sprintf
-                                   "checkpoint: bad identities field %S" s)))))
-                <> ctx.Engine.Ctx.identities
-              then
-                Ringshare_error.(
-                  error
-                    (Invalid_input
-                       (Printf.sprintf
-                          "checkpoint was written with identities %s, \
-                           resumed with %d"
-                          (Option.value ~default:"2"
-                             (List.assoc_opt "identities" fields))
-                          ctx.Engine.Ctx.identities)))
-              else
-                ( Prng.of_state (Checkpoint.int64_field fields "rng"),
-                  Checkpoint.int_field fields "next",
-                  Q.of_string (Checkpoint.field fields "best_ratio"),
-                  Checkpoint.int_field fields "best_trial",
-                  Checkpoint.int_field fields "best_v",
-                  weights_of_string (Checkpoint.field fields "best_weights"),
-                  Checkpoint.int_field fields "failed" ))
+                 "checkpoint was written for a different hunt (seed/trials \
+                  mismatch)"));
+        (* a cross-k resume would replay the same rng stream into a
+           different search space *)
+        Checkpoint.check_setting fields "identities" ~default:"2"
+          ~expected:(string_of_int ctx.Engine.Ctx.identities);
+        let next = Checkpoint.int_field fields "next" in
+        if next < 1 || next > trials + 1 then
+          Checkpoint.invalid "next trial %d is outside 1..%d" next (trials + 1);
+        ( Prng.of_state (Checkpoint.int64_field fields "rng"),
+          next,
+          Checkpoint.rational_field fields "best_ratio",
+          Checkpoint.int_field fields "best_trial",
+          Checkpoint.int_field fields "best_v",
+          Checkpoint.rationals_field fields "best_weights",
+          Checkpoint.int_field fields "failed" ))
   in
   let best_ratio = ref ratio0 and best_trial = ref trial0 in
   let best_v = ref v0 and best_weights = ref ws0 in
@@ -1081,7 +1031,7 @@ let hunt ?ctx ?checkpoint ?(resume = false) ?(budget = Budget.unlimited)
             ("best_ratio", Q.to_string !best_ratio);
             ("best_trial", string_of_int !best_trial);
             ("best_v", string_of_int !best_v);
-            ("best_weights", weights_to_string !best_weights);
+            ("best_weights", Checkpoint.rationals_to_string !best_weights);
           ]
   in
   (* snapshot up front: an interruption inside the very first trial must
@@ -1103,7 +1053,7 @@ let hunt ?ctx ?checkpoint ?(resume = false) ?(budget = Budget.unlimited)
        (match
           Ringshare_error.capture (fun () ->
               let g = Generators.ring weights in
-              Incentive.best_attack_k ~ctx ~budget g)
+              Incentive.best_attack ~ctx ~budget g)
         with
        | Ok a ->
            if Q.compare a.Incentive.ratio !best_ratio > 0 then begin
@@ -1114,7 +1064,7 @@ let hunt ?ctx ?checkpoint ?(resume = false) ?(budget = Budget.unlimited)
              Format.fprintf fmt "trial %-5d ratio %.5f  v=%d  weights=[%s]@."
                trial
                (Q.to_float a.Incentive.ratio)
-               a.Incentive.v (weights_to_string weights)
+               a.Incentive.v (Checkpoint.rationals_to_string weights)
            end
        | Error (Ringshare_error.Budget_exhausted _ as e) ->
            status := Error e;

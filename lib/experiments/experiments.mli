@@ -79,7 +79,7 @@ val run_e13_symbolic : ?trials:int -> Format.formatter -> outcome
 
 val run_e14_kway : ?trials:int -> Format.formatter -> outcome
 (** k-identity split vectors, beyond Theorem 8's two.  Three parts:
-    (1) differential validation — {!Incentive.best_attack_k} at
+    (1) differential validation — {!Incentive.best_attack} at
     [identities:3], [refine:0] on a grid divisible by 3 must tie out
     {e exactly} with a brute-force enumeration of the whole simplex
     lattice on seeded rings with [n ∈ {3, 4, 5}], and the zoomed sweep
@@ -118,15 +118,16 @@ val hunt :
     the tightness family).  Record holders are printed as they fall.
 
     Each trial draws an instance from the seeded PRNG and runs
-    {!Incentive.best_attack_k} under [ctx.identities] (default 2, where
-    it is exactly the historical {!Incentive.best_attack} hunt).  After
+    {!Incentive.best_attack} under [ctx.identities] (default 2, the
+    historical hunt).  After
     every trial the optional [checkpoint] is atomically rewritten with
     the PRNG state, the identity count and the exact best-so-far;
     [resume:true] continues the stream from there, so a killed-and-resumed
     hunt prints the same records and returns the same result as an
     uninterrupted one.  A checkpoint written under a different identity
     count is rejected as [Invalid_input] (pre-k-way checkpoints count as
-    two identities).  A [budget] trip ends the hunt
-    early with [Error (Budget_exhausted _)] and the partial best; a
-    per-trial solver fault is counted and skipped, not fatal.
+    two identities), as is one whose next trial lies outside
+    [1..trials+1] or whose rationals do not parse.  A [budget] trip ends
+    the hunt early with [Error (Budget_exhausted _)] and the partial
+    best; a per-trial solver fault is counted and skipped, not fatal.
     [stop_after:k] processes at most [k] trials in this invocation. *)

@@ -88,6 +88,25 @@ let load ~path ~kind =
   | exception Sys_error m ->
       Error (Ringshare_error.Io_error { file = path; msg = m })
 
+let resume ~who ~kind ?path ~resume ~fresh read =
+  if not resume then fresh ()
+  else
+    match path with
+    | None ->
+        Ringshare_error.(
+          error
+            (Invalid_input (who ^ ": resume requires a checkpoint path")))
+    | Some path when not (Sys.file_exists path) -> fresh ()
+    | Some path -> (
+        match load ~path ~kind with
+        | Error e -> Ringshare_error.error e
+        | Ok fields -> read fields)
+
+let invalid fmt =
+  Printf.ksprintf
+    (fun m -> Ringshare_error.(error (Invalid_input ("checkpoint: " ^ m))))
+    fmt
+
 let field fields k =
   match List.assoc_opt k fields with
   | Some v -> v
@@ -105,3 +124,34 @@ let typed_field of_string what fields k =
 let int_field fields = typed_field int_of_string_opt "int" fields
 let int64_field fields = typed_field Int64.of_string_opt "int64" fields
 let bool_field fields = typed_field bool_of_string_opt "bool" fields
+
+let rational_of_string_opt s =
+  match Rational.of_string s with
+  | q -> Some q
+  | exception (Invalid_argument _ | Failure _ | Division_by_zero) -> None
+
+let rational_field fields = typed_field rational_of_string_opt "rational" fields
+
+(* "-" stands for the empty vector: a field value cannot be empty. *)
+let rationals_to_string = function
+  | [||] -> "-"
+  | qs -> String.concat ";" (Array.to_list (Array.map Rational.to_string qs))
+
+let rationals_of_string_opt = function
+  | "-" -> Some [||]
+  | s ->
+      let qs = List.map rational_of_string_opt (String.split_on_char ';' s) in
+      if List.exists Option.is_none qs then None
+      else Some (Array.of_list (List.filter_map Fun.id qs))
+
+let rationals_field fields =
+  typed_field rationals_of_string_opt "rational vector" fields
+
+let check_setting fields key ~default ~expected =
+  let found = Option.value ~default (List.assoc_opt key fields) in
+  if not (String.equal found expected) then
+    Ringshare_error.(
+      error
+        (Invalid_input
+           (Printf.sprintf "checkpoint was written with %s %s, resumed with %s"
+              key found expected)))

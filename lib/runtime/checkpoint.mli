@@ -27,10 +27,49 @@ val load :
 (** Read a snapshot back, validating header, kind, and the [end] count.
     [Error (Parse_error _)] names the offending line on any mismatch. *)
 
+val resume :
+  who:string -> kind:string -> ?path:string -> resume:bool ->
+  fresh:(unit -> 'a) -> ((string * string) list -> 'a) -> 'a
+(** The start state of a resumable search: [fresh ()] unless [resume],
+    or when the snapshot at [path] does not exist yet; otherwise the
+    loaded snapshot's fields handed to the reader.
+    @raise Ringshare_error.Error ([Invalid_input]) naming [who] when
+    resuming without a [path]; the {!load} error when the snapshot is
+    unreadable. *)
+
+val invalid : ('a, unit, string, 'b) format4 -> 'a
+(** [invalid fmt ...] rejects a snapshot whose fields do not hold
+    together.
+    @raise Ringshare_error.Error ([Invalid_input "checkpoint: ..."]). *)
+
 val field : (string * string) list -> string -> string
 (** First value bound to the key.
     @raise Ringshare_error.Error ([Invalid_input]) if absent. *)
 
+val typed_field :
+  (string -> 'a option) -> string -> (string * string) list -> string -> 'a
+(** [typed_field of_string what fields k] parses the trimmed value of
+    [k]; [what] names the expected type in the error.
+    @raise Ringshare_error.Error ([Invalid_input]) if the key is absent
+    or [of_string] returns [None]. *)
+
 val int_field : (string * string) list -> string -> int
 val int64_field : (string * string) list -> string -> int64
 val bool_field : (string * string) list -> string -> bool
+val rational_field : (string * string) list -> string -> Rational.t
+
+val rationals_to_string : Rational.t array -> string
+(** A rational vector as one field value: the entries [";"]-joined,
+    ["-"] for the empty vector. *)
+
+val rationals_field : (string * string) list -> string -> Rational.t array
+(** Reads back what {!rationals_to_string} wrote. *)
+
+val check_setting :
+  (string * string) list -> string -> default:string -> expected:string ->
+  unit
+(** [check_setting fields key ~default ~expected] rejects a snapshot
+    written under another setting of [key] (e.g. the sweep policy or the
+    Sybil identity count); snapshots older than the field count as
+    [default].
+    @raise Ringshare_error.Error ([Invalid_input]) naming both values. *)

@@ -263,6 +263,63 @@ grep -q "at least 2 identities" "$tmpdir/err" || {
   echo "FAIL: --identities 1 error message unhelpful" >&2
   fails=$((fails + 1)); }
 
+# 25. golden bytes of the k-identity output formats (sybil with and
+#     without --agent, batch header/rows/footer, hunt), pinned so the
+#     one-entry-point attack search keeps printing exactly this
+golden() {
+  cmp -s "$tmpdir/golden.want" "$tmpdir/golden.got" || {
+    echo "FAIL: $1 output differs from the pinned bytes" >&2
+    diff "$tmpdir/golden.want" "$tmpdir/golden.got" >&2
+    fails=$((fails + 1)); }
+}
+printf '%s\n' \
+  'v=0  best weights=[0;35/9;28/9]  attack utility=24143/3026  honest=63/16  ratio=27592/13617 (2.02629)' \
+  'Theorem 8 bound: 2 (for 2 identities; k=3 can exceed it)' \
+  > "$tmpdir/golden.want"
+"$cli" sybil --ring 7,2,9,4,3 --grid 6 --refine 1 --identities 3 \
+  > "$tmpdir/golden.got" 2>&1
+expect "sybil k=3 golden" 0 $?
+golden "sybil --identities 3"
+"$cli" sybil --ring 7,2,9,4,3 --grid 6 --refine 1 --identities 3 --agent 0 \
+  > "$tmpdir/golden.got" 2>&1
+expect "sybil k=3 --agent 0 golden" 0 $?
+golden "sybil --identities 3 --agent 0"
+"$cli" save --ring 3,1,2,5 --out "$tmpdir/k3a.graph" > /dev/null 2>&1
+"$cli" save --ring 7,2,9,4,3 --out "$tmpdir/k3b.graph" > /dev/null 2>&1
+printf '%s\n' \
+  'file                                  n      v          weights      ratio' \
+  'k3a.graph                             4      3      5/6;5/3;5/2    1.56571' \
+  'k3b.graph                             5      0      0;35/9;28/9    2.02629' \
+  'batch: 2 instances, 0 failed (identities=3)' \
+  > "$tmpdir/golden.want"
+( cd "$tmpdir" && "$cli" batch k3a.graph k3b.graph --grid 6 --refine 1 \
+    --identities 3 > golden.got 2>&1 )
+expect "batch k=3 golden" 0 $?
+golden "batch --identities 3"
+printf '%s\n' \
+  'trial 1     ratio 6.96233  v=0  weights=[200;2;1;30]' \
+  'best ratio found: 6.96233 (Theorem 8 bound: 2)' \
+  > "$tmpdir/golden.want"
+"$cli" hunt --trials 3 --identities 3 > "$tmpdir/golden.got" 2>&1
+expect "hunt k=3 golden" 0 $?
+golden "hunt --identities 3"
+
+# 26. a tampered best-attack checkpoint is an input error: a resume from
+#     "next -3" exits 2 with one stderr line, never an uncaught exception
+"$cli" sybil --ring 7,2,9,4,3 --grid 6 --refine 1 \
+  --checkpoint "$tmpdir/tamper.ckpt" > /dev/null 2>&1
+expect "sybil checkpoint for tampering" 0 $?
+sed 's/^next .*/next -3/' "$tmpdir/tamper.ckpt" > "$tmpdir/tamper.tmp"
+mv "$tmpdir/tamper.tmp" "$tmpdir/tamper.ckpt"
+"$cli" sybil --ring 7,2,9,4,3 --grid 6 --refine 1 \
+  --checkpoint "$tmpdir/tamper.ckpt" --resume > /dev/null 2> "$tmpdir/err"
+expect "resume from next -3" 2 $?
+if grep -q "Fatal error" "$tmpdir/err" || [ "$(wc -l < "$tmpdir/err")" -ne 1 ]
+then
+  echo "FAIL: tampered checkpoint did not fail as one clean line" >&2
+  cat "$tmpdir/err" >&2; fails=$((fails + 1))
+fi
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

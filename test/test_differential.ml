@@ -146,28 +146,27 @@ let check_sweeps g =
 (* k-identity split vectors                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* At the default two identities the k-way entry points are the
-   historical search: same vertex, same weights (as a pair), same
-   utility/honest/ratio — in both sweep modes, serial and parallel. *)
-let check_k2_bit_identity g =
+(* At two identities the attack's weight vector is the pair
+   [w1; w_v − w1] — in both sweep modes, serial and parallel, for the
+   whole-ring search and for one vertex's. *)
+let check_k2_weights g =
+  let is_pair (a : Incentive.attack) =
+    Array.length a.Incentive.weights = 2
+    && Rational.equal a.Incentive.weights.(0) a.Incentive.w1
+    && Rational.equal a.Incentive.weights.(1)
+         (Rational.sub (Graph.weight g a.Incentive.v) a.Incentive.w1)
+  in
   List.iter
     (fun (sweep, domains) ->
       let ctx = Engine.Ctx.make ~sweep ~grid:8 ~refine:1 ~domains () in
-      let a = Incentive.best_attack ~ctx g in
-      let ka = Incentive.best_attack_k ~ctx g in
-      let w2 = Rational.sub (Graph.weight g a.Incentive.v) a.Incentive.w1 in
       if
-        ka.Incentive.v <> a.Incentive.v
-        || Array.length ka.Incentive.weights <> 2
-        || not (Rational.equal ka.Incentive.weights.(0) a.Incentive.w1)
-        || not (Rational.equal ka.Incentive.weights.(1) w2)
-        || not (Rational.equal ka.Incentive.utility a.Incentive.utility)
-        || not (Rational.equal ka.Incentive.honest a.Incentive.honest)
-        || not (Rational.equal ka.Incentive.ratio a.Incentive.ratio)
+        not
+          (is_pair (Incentive.best_attack ~ctx g)
+          && is_pair (Incentive.best_split ~ctx g ~v:0))
       then
         QCheck2.Test.fail_reportf
-          "best_attack_k at k=2 differs from best_attack (domains=%d) on@.%a"
-          domains Graph.pp g)
+          "k=2 weights are not [w1; w_v - w1] (domains=%d) on@.%a" domains
+          Graph.pp g)
     [
       (Engine.Grid, 1); (Engine.Grid, 3);
       (Engine.Exact, 1); (Engine.Exact, 3);
@@ -191,12 +190,9 @@ let test_k2_pins () =
         (Rational.to_string a.Incentive.honest);
       Alcotest.(check string) "grid ratio" "80/63"
         (Rational.to_string a.Incentive.ratio);
-      let ka = Incentive.best_attack_k ~ctx g in
-      Alcotest.(check string) "k-way grid weights" "21/4;7/4"
+      Alcotest.(check string) "grid weights" "21/4;7/4"
         (String.concat ";"
-           (Array.to_list (Array.map Rational.to_string ka.Incentive.weights)));
-      Alcotest.(check string) "k-way grid ratio" "80/63"
-        (Rational.to_string ka.Incentive.ratio);
+           (Array.to_list (Array.map Rational.to_string a.Incentive.weights)));
       let ctxe = Engine.Ctx.make ~sweep:Engine.Exact ~domains () in
       let e = Incentive.best_attack_exact ~ctx:ctxe g in
       Alcotest.(check string) "exact w1" "9/2"
@@ -205,13 +201,13 @@ let test_k2_pins () =
         (Qx.to_string e.Incentive.ratio_exact);
       Alcotest.(check int) "exact pieces" 7 e.Incentive.pieces;
       Alcotest.(check int) "exact events" 6 e.Incentive.events;
-      let kae = Incentive.best_attack_k ~ctx:ctxe g in
-      Alcotest.(check string) "k-way exact weights" "9/2;5/2"
+      let ae = Incentive.best_attack ~ctx:ctxe g in
+      Alcotest.(check string) "exact witness weights" "9/2;5/2"
         (String.concat ";"
            (Array.to_list
-              (Array.map Rational.to_string kae.Incentive.weights)));
-      Alcotest.(check string) "k-way exact ratio" "80/63"
-        (Rational.to_string kae.Incentive.ratio))
+              (Array.map Rational.to_string ae.Incentive.weights)));
+      Alcotest.(check string) "exact witness ratio" "80/63"
+        (Rational.to_string ae.Incentive.ratio))
     [ 1; 3 ]
 
 (* Reference oracle for k >= 3: enumerate the whole simplex lattice. *)
@@ -251,12 +247,12 @@ let test_k3_brute_tieout () =
       let g = Instances.ring ~seed ~n (Weights.Uniform (1, 12)) in
       let brute = brute_attack_k g ~k:3 ~grid:6 in
       let flat =
-        Incentive.best_attack_k
+        Incentive.best_attack
           ~ctx:(Engine.Ctx.make ~grid:6 ~refine:0 ~identities:3 ())
           g
       in
       let zoomed =
-        Incentive.best_attack_k
+        Incentive.best_attack
           ~ctx:(Engine.Ctx.make ~grid:6 ~refine:2 ~identities:3 ())
           g
       in
@@ -275,7 +271,7 @@ let test_k3_brute_tieout () =
 let test_k3_beats_two () =
   let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
   let k3 =
-    Incentive.best_attack_k
+    Incentive.best_attack
       ~ctx:(Engine.Ctx.make ~sweep:Engine.Exact ~identities:3 ())
       g
   in
@@ -321,9 +317,9 @@ let () =
       ( "k-way",
         [
           Helpers.qtest ~count:20
-            "rings: k=2 entry points bit-identical to the 2-split search"
+            "rings: k=2 weights are the pair [w1; w_v - w1]"
             (Helpers.ring_gen ~nmax:6 ~wmax:15 ())
-            check_k2_bit_identity;
+            check_k2_weights;
           Alcotest.test_case "k=2 pins on [7;2;9;4;3]" `Quick test_k2_pins;
           Alcotest.test_case "k=3 ties out with brute force (n=3..5)" `Quick
             test_k3_brute_tieout;

@@ -76,7 +76,7 @@ let test_kway_memo_identity () =
   with_obs ~metrics:true (fun () ->
       let g = e1_ring () in
       ignore
-        (Incentive.best_splitk
+        (Incentive.best_split
            ~ctx:(Engine.Ctx.make ~grid:6 ~refine:2 ~identities:3 ())
            g ~v:0);
       let s = Obs.snapshot () in

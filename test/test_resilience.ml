@@ -369,7 +369,7 @@ let test_best_attack_within_rejects_sweep_mismatch () =
 
 let test_best_attack_within_kway_resume () =
   (* k-way kill-and-resume: the weight vector rides in the checkpoint,
-     so the resumed best_k is bit-identical to the uninterrupted scan *)
+     so the resumed best is bit-identical to the uninterrupted scan *)
   let g = attack_ring () in
   let kctx = Engine.Ctx.make ~grid:6 ~refine:1 ~identities:3 () in
   let p_ref = Incentive.best_attack_within ~ctx:kctx g in
@@ -388,7 +388,7 @@ let test_best_attack_within_kway_resume () =
     Incentive.best_attack_within ~ctx:kctx ~checkpoint:path ~resume:true g
   in
   Alcotest.(check bool) "complete" true (p2.Incentive.status = Ok ());
-  (match (p_ref.Incentive.best_k, p2.Incentive.best_k) with
+  (match (p_ref.Incentive.best, p2.Incentive.best) with
   | Some a, Some b ->
       Alcotest.(check int) "same vertex" a.Incentive.v b.Incentive.v;
       Alcotest.(check bool) "same weight vector" true
@@ -423,6 +423,83 @@ let test_best_attack_within_rejects_identities_mismatch () =
         (contains m "identities" && contains m "3" && contains m "2")
   | _ -> Alcotest.fail "cross-k checkpoint accepted");
   Sys.remove path
+
+(* Tampered snapshots: each case rewrites one field of an honest
+   checkpoint and resumes from it.  The resume must fail with
+   Invalid_input — never accept the file, never escape as another
+   exception (Not_found, Invalid_argument, ...). *)
+let tamper path ~kind edits =
+  match Checkpoint.load ~path ~kind with
+  | Error e -> Alcotest.failf "honest checkpoint unreadable: %s" (E.to_string e)
+  | Ok fields ->
+      Checkpoint.save ~path ~kind
+        (List.map
+           (fun (k, v) ->
+             match List.assoc_opt k edits with Some v' -> (k, v') | None -> (k, v))
+           fields)
+
+let expect_invalid_input what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: tampered checkpoint accepted" what
+  | exception E.Error (E.Invalid_input _) -> ()
+  | exception e ->
+      Alcotest.failf "%s: raised %s, not Invalid_input" what
+        (Printexc.to_string e)
+
+let tampered_attack_case (name, ctx, edits) =
+  Alcotest.test_case name `Quick (fun () ->
+      let g = attack_ring () in
+      let path = tmp ".ckpt" in
+      Sys.remove path;
+      ignore (Incentive.best_attack_within ~ctx ~checkpoint:path g);
+      tamper path ~kind:"best-attack" edits;
+      expect_invalid_input name (fun () ->
+          Incentive.best_attack_within ~ctx ~checkpoint:path ~resume:true g);
+      Sys.remove path)
+
+let grid2 = Engine.Ctx.make ~grid:6 ~refine:1 ()
+let exact2 = Engine.Ctx.make ~sweep:Engine.Exact ()
+let grid3 = Engine.Ctx.make ~grid:6 ~refine:1 ~identities:3 ()
+
+let tampered_attack_cases =
+  List.map tampered_attack_case
+    [
+      ("next past the vertex count", grid2, [ ("next", "99") ]);
+      ("negative next", grid2, [ ("next", "-3") ]);
+      ("best_v not a vertex", grid2, [ ("best_v", "99") ]);
+      ("best_ratio not utility/honest", grid2, [ ("best_ratio", "7") ]);
+      ("best_w1 not a rational", grid2, [ ("best_w1", "x/y") ]);
+      ("best_w1 above w_v", grid2, [ ("best_w1", "99") ]);
+      ("exact_ratio not exact_utility/honest", exact2, [ ("exact_ratio", "2") ]);
+      ("exact_w1 not a surd", exact2, [ ("exact_w1", "9/2+sqrt(") ]);
+      ("kbest_v not a vertex", grid3, [ ("kbest_v", "42") ]);
+      ("kbest_weights of the wrong length", grid3, [ ("kbest_weights", "7") ]);
+      ("kbest_weights negative entry", grid3, [ ("kbest_weights", "-1;4;4") ]);
+      ("kbest_weights not summing to w_v", grid3, [ ("kbest_weights", "1;1;1") ]);
+      ("kbest_ratio not utility/honest", grid3, [ ("kbest_ratio", "7") ]);
+    ]
+
+let tampered_hunt_case (name, edits) =
+  Alcotest.test_case name `Quick (fun () ->
+      let path = tmp ".ckpt" in
+      Sys.remove path;
+      ignore
+        (Experiments.hunt ~checkpoint:path ~stop_after:2 ~seed:1 ~trials:4
+           null_fmt);
+      tamper path ~kind:"hunt" edits;
+      expect_invalid_input name (fun () ->
+          Experiments.hunt ~checkpoint:path ~resume:true ~seed:1 ~trials:4
+            null_fmt);
+      Sys.remove path)
+
+let tampered_hunt_cases =
+  List.map tampered_hunt_case
+    [
+      ("hunt: negative next", [ ("next", "-5") ]);
+      ("hunt: next past the last trial", [ ("next", "9") ]);
+      ("hunt: best_ratio not a rational", [ ("best_ratio", "1/x") ]);
+      ("hunt: best_weights not rationals", [ ("best_weights", "1;;2") ]);
+    ]
 
 let test_best_attack_within_rejects_wrong_graph () =
   let path = tmp ".ckpt" in
@@ -609,6 +686,7 @@ let () =
           Alcotest.test_case "wrong-graph checkpoint rejected" `Quick
             test_best_attack_within_rejects_wrong_graph;
         ] );
+      ("tampered checkpoints", tampered_attack_cases @ tampered_hunt_cases);
       ( "hunt",
         [
           Alcotest.test_case "kill + resume is byte-identical" `Quick
