@@ -284,6 +284,15 @@ let stage_dp_candidates ~record ~scale ~py path ~v1 ~v2 ~total ~mask
      - wc_i*wb_{i+1} - wc_{i+1}*wb_i = 0   (adjacent alphas crossing)
    all keep their sign, together with the stage-DP differences from
    [stage_dp_candidates] (which make the family complete — see there). *)
+let c_stage_replays =
+  Obs.Counter.make ~subsystem:"breakpoints" "stage_replays"
+
+let c_dp_comparisons =
+  Obs.Counter.make ~subsystem:"breakpoints" "dp_comparisons"
+
+let c_dp_candidates =
+  Obs.Counter.make ~subsystem:"breakpoints" "dp_candidates"
+
 let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
   let aff = affine_of_set path ~v1 ~v2 ~total in
   let pairs =
@@ -324,7 +333,11 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
      machinery: sign-normalise and key by the printed triple. *)
   let dp_cands = ref [] in
   let seen = BTriple.create 512 in
+  (* work counters, added once per replay: recorded comparison
+     differences, and the distinct nonzero ones among them *)
+  let comparisons = ref 0 and distinct = ref 0 in
   let record q =
+    incr comparisons;
     if not (bis_zero3 q) then begin
       let a, b, c = q in
       let flip =
@@ -333,6 +346,7 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
       let q = if flip < 0 then bneg3 q else q in
       if not (BTriple.mem seen q) then begin
         BTriple.add seen q ();
+        incr distinct;
         dp_cands := q :: !dp_cands
       end
     end
@@ -344,6 +358,9 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
         pr;
       mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c))
     structure;
+  Obs.Counter.add c_stage_replays (List.length structure);
+  Obs.Counter.add c_dp_comparisons !comparisons;
+  Obs.Counter.add c_dp_candidates !distinct;
   (* back to x-coordinates: q'(y) = A·y² + B·y + C with y = D·x is
      A·D²·x² + B·D·x + C *)
   let d2 = B.mul d d in

@@ -224,6 +224,37 @@ let test_counters_tick () =
     (counter "exact_events");
   Alcotest.(check bool) "evaluations ticked" true (counter "exact_evals" > 0)
 
+(* -------------------------------------------------------------------- *)
+(* 6. Deterministic certificate work counters, pinned exactly: the      *)
+(*    stage-DP replays, the comparison differences they record and the  *)
+(*    distinct candidates among them are ints on fixed inputs, so any   *)
+(*    change to the certificate DP shows up here with zero noise         *)
+(* -------------------------------------------------------------------- *)
+
+let breakpoint_counters g ~v =
+  Obs.set_metrics true;
+  let before = Obs.snapshot () in
+  let _ =
+    Fun.protect
+      (fun () -> Breakpoints.exact_split_pieces g ~v)
+      ~finally:(fun () -> Obs.set_metrics false)
+  in
+  let d = Obs.diff (Obs.snapshot ()) before in
+  List.map
+    (fun name -> Obs.counter_value d ~subsystem:"breakpoints" name)
+    [ "stage_replays"; "dp_comparisons"; "dp_candidates" ]
+
+let test_breakpoint_counters_pinned () =
+  let check label g ~v expected =
+    Alcotest.(check (list int)) label expected (breakpoint_counters g ~v)
+  in
+  check "ring [7;2;9;4;3], v=0"
+    (Generators.ring_of_ints [| 7; 2; 9; 4; 3 |])
+    ~v:0 [ 27; 1017; 305 ];
+  check "uniform[1,100] ring, n=16, seed 16"
+    (Instances.ring ~seed:16 ~n:16 (Weights.Uniform (1, 100)))
+    ~v:0 [ 150; 13532; 4524 ]
+
 let () =
   Alcotest.run "exact_sweep"
     [
@@ -238,5 +269,7 @@ let () =
           Alcotest.test_case "piece tiling and constancy" `Quick
             test_piece_tiling;
           Alcotest.test_case "exact counters tick" `Quick test_counters_tick;
+          Alcotest.test_case "certificate work counters pinned" `Quick
+            test_breakpoint_counters_pinned;
         ] );
     ]
