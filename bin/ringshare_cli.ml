@@ -93,6 +93,16 @@ let v_arg =
   Arg.(value & opt int 0
        & info [ "agent"; "v" ] ~docv:"V" ~doc:"The agent under study.")
 
+(* An agent off the graph is an input error (exit 2, one line), checked
+   here before any library code indexes by it. *)
+let agent g v =
+  let n = Graph.n g in
+  if v < 0 || v >= n then
+    Ringshare_error.(
+      error
+        (Invalid_input (Printf.sprintf "agent %d out of range 0..%d" v (n - 1))));
+  v
+
 (* ------------------------------------------------------------------ *)
 (* Shared execution-context term                                       *)
 (*                                                                     *)
@@ -276,6 +286,7 @@ let dynamics g ctx iters () =
   Format.printf "max utility error after %d rounds: %.3e@." iters !err
 
 let sybil g ctx v_opt checkpoint resume () =
+  let v_opt = Option.map (agent g) v_opt in
   (* arm here (not just inside best_attack) so a --deadline also routes
      through the fault-tolerant partial-results path below *)
   let ctx = Engine.Ctx.arm ctx in
@@ -335,6 +346,7 @@ let sybil g ctx v_opt checkpoint resume () =
   else Format.printf "Theorem 8 bound: 2@."
 
 let curve g ctx v samples () =
+  let v = agent g v in
   let pts = Misreport.curve ~ctx g ~v ~samples in
   Format.printf "x,utility,alpha,class@.";
   List.iter
@@ -350,6 +362,7 @@ let curve g ctx v samples () =
   | Error m -> Format.printf "Theorem 10: VIOLATED (%s)@." m
 
 let breaks g ctx v () =
+  let v = agent g v in
   let events = Breakpoints.scan ~ctx g ~v in
   Format.printf "%d decomposition change events for x in [0, %s]@."
     (List.length events)
@@ -368,6 +381,7 @@ let breaks g ctx v () =
     events
 
 let trace g ctx v () =
+  let v = agent g v in
   let t = Trace.compute ~ctx g ~v in
   Format.printf "%a@." Trace.pp t;
   (match Trace.check_prop12 t with
@@ -389,6 +403,7 @@ let certify g ctx () =
   | Error m -> Format.printf "CERTIFICATE REJECTED: %s@." m
 
 let general g ctx v () =
+  let v = agent g v in
   (* ctx.grid doubles as the per-dimension simplex resolution here, as
      the --grid flag always has for this subcommand *)
   let spec, utility, ratio =
@@ -442,6 +457,7 @@ let save g out () =
   Format.printf "wrote %s@." out
 
 let verify g ctx v () =
+  let v = agent g v in
   match Symbolic.verify_theorem8 ~ctx g ~v with
   | Error m -> Format.printf "internal error: %s@." m
   | Ok r ->

@@ -1,195 +1,216 @@
 module Q = Rational
 
-(* State encoding, as in Chain_solver: index = 2*s + counted, where s is
-   the vertex's S-membership and counted whether its Γ(S) charge has
-   already been paid (from the side the sweep came from). *)
+(* ------------------------------------------------------------------ *)
+(* Components of a masked degree-≤2 graph                              *)
+(* ------------------------------------------------------------------ *)
 
-let state s counted = (2 * if s then 1 else 0) + if counted then 1 else 0
+let masked_neighbors g mask v =
+  Array.to_list (Graph.neighbors g v) |> List.filter (fun u -> Vset.mem u mask)
 
-let better cur cand =
-  match cur with
-  | None -> Some cand
-  | Some c -> if Q.compare cand c < 0 then Some cand else cur
+let supports g ~mask =
+  Vset.for_all (fun v -> List.length (masked_neighbors g mask v) <= 2) mask
 
-(* One forward transition: from the state table at position i-1 to the
-   table at position i. *)
-let step_forward ~alpha ~w_prev ~w_cur prev =
-  let next = Array.make 4 None in
-  Array.iteri
-    (fun st cost_opt ->
-      match cost_opt with
-      | None -> ()
-      | Some cost ->
-          let s_prev = st >= 2 and counted_prev = st land 1 = 1 in
-          List.iter
-            (fun s ->
-              let cost = ref cost in
-              if s && not counted_prev then cost := Q.add !cost w_prev;
-              if s_prev then cost := Q.add !cost w_cur;
-              if s then cost := Q.sub !cost (Q.mul alpha w_cur);
-              next.(state s s_prev) <- better next.(state s s_prev) !cost)
-            [ false; true ])
-    prev;
-  next
+type component = { verts : int array; cycle : bool }
 
-(* Sweep a path forward, keeping every intermediate table.  [init] is the
-   table at position 0. *)
-let sweep ~alpha ~w ~init k =
-  let tables = Array.make k [||] in
-  tables.(0) <- init;
-  for i = 1 to k - 1 do
-    tables.(i) <-
-      step_forward ~alpha ~w_prev:(w (i - 1)) ~w_cur:(w i) tables.(i - 1)
-  done;
-  tables
+let components g ~mask =
+  let visited = Tables.Itbl.create 16 in
+  let comps = ref [] in
+  Vset.iter
+    (fun v0 ->
+      if not (Tables.Itbl.mem visited v0) then begin
+        (* Collect the component of v0. *)
+        let members = ref [] in
+        let rec collect v =
+          if not (Tables.Itbl.mem visited v) then begin
+            Tables.Itbl.add visited v ();
+            members := v :: !members;
+            List.iter collect (masked_neighbors g mask v)
+          end
+        in
+        collect v0;
+        let members = !members in
+        let degree v = List.length (masked_neighbors g mask v) in
+        let endpoint = List.find_opt (fun v -> degree v <= 1) members in
+        match endpoint with
+        | Some e ->
+            (* Path: walk from the endpoint. *)
+            let rec walk prev cur acc =
+              let acc = cur :: acc in
+              match List.filter (fun u -> u <> prev) (masked_neighbors g mask cur) with
+              | [] -> List.rev acc
+              | [ next ] -> walk cur next acc
+              | _ -> assert false
+            in
+            comps :=
+              { verts = Array.of_list (walk (-1) e []); cycle = false }
+              :: !comps
+        | None ->
+            (* Cycle: walk from any vertex. *)
+            let start = List.hd members in
+            let rec walk prev cur acc =
+              if cur = start && prev <> -1 then List.rev acc
+              else
+                let acc = cur :: acc in
+                match
+                  List.filter (fun u -> u <> prev) (masked_neighbors g mask cur)
+                with
+                | next :: _ -> walk cur next acc
+                | [] -> assert false
+            in
+            comps :=
+              { verts = Array.of_list (walk (-1) start []); cycle = true }
+              :: !comps
+      end)
+    mask;
+  !comps
 
-let init_table ~alpha ~w0 ~s0 ~counted0 ~extra =
-  let t = Array.make 4 None in
-  let base = if s0 then Q.sub extra (Q.mul alpha w0) else extra in
-  t.(state s0 counted0) <- Some base;
-  t
+(* ------------------------------------------------------------------ *)
+(* The stage-cost DP, over any cost domain                             *)
+(* ------------------------------------------------------------------ *)
 
-let free_init ~alpha ~w0 =
-  let t = Array.make 4 None in
-  t.(state false false) <- Some Q.zero;
-  t.(state true false) <- Some (Q.neg (Q.mul alpha w0));
-  t
+module type COST = sig
+  type t
 
-(* Combine a forward table and a backward table that meet at a vertex of
-   weight wv: both include the vertex's -alpha*wv*s term; the Γ charge is
-   paid on the left iff cl, on the right iff cr.  [want_s] restricts the
-   S-membership (None = any). *)
-let combine ~alpha ~wv ~want_s fwd bwd =
-  let best = ref None in
-  Array.iteri
-    (fun stf f_opt ->
-      match f_opt with
-      | None -> ()
-      | Some f ->
-          let s = stf >= 2 and cl = stf land 1 = 1 in
-          if match want_s with None -> true | Some b -> b = s then
-            Array.iteri
-              (fun stb b_opt ->
-                match b_opt with
-                | None -> ()
-                | Some b_cost ->
-                    let s' = stb >= 2 and cr = stb land 1 = 1 in
-                    if s = s' then begin
-                      let total = Q.add f b_cost in
-                      let total =
-                        if s then Q.add total (Q.mul alpha wv) else total
-                      in
-                      let total =
-                        if cl && cr then Q.sub total wv else total
-                      in
-                      best := better !best total
-                    end)
-              bwd)
-    fwd;
-  !best
+  val inf : t
+  val zero : t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val min : t -> t -> t
+end
 
-let table_min t =
-  Array.fold_left
-    (fun acc c -> match c with None -> acc | Some c -> better acc c)
-    None t
+(* States are indexed 2·s + counted: s is the vertex's S-membership,
+   counted whether its Γ(S) charge has already been paid from the left.
+   A row holds the four states of one position.
+
+   The forward row at position i is the best prefix cost over 0..i; the
+   backward row is the best cost of the transitions i+1..k−1 given the
+   state at i.  The transition into position i+1 charges gam(i) when
+   s_{i+1} picks up an uncounted neighbour, gam(i+1) when s_i is
+   selected, and −sch(i+1) when s_{i+1} is selected.  The suffix
+   depends on the prefix only through the state, so the forced minimum
+   at u is the 2-way combine min over c of F_u(1, c) + B_u(1, c); the
+   forward sweep therefore stores only the s = 1 pair per position.
+
+   Each [min] keeps its first argument on ties and compares the same
+   operands in the same order on every run, which the certificate
+   instance in [Breakpoints] relies on: it records every comparison. *)
+module Make (C : COST) = struct
+  (* One sweep pair with the forward row at position 0 given by [init]
+     and the backward row at position k−1 by [term]. *)
+  let sweep ~gam ~sch ~init:(i0, i1, i2, i3) ~term:(t0, t1, t2, t3) =
+    let k = Array.length gam in
+    let f2 = Array.make k C.inf and f3 = Array.make k C.inf in
+    let c0 = ref i0 and c1 = ref i1 and c2 = ref i2 and c3 = ref i3 in
+    f2.(0) <- i2;
+    f3.(0) <- i3;
+    for i = 1 to k - 1 do
+      let a0 = !c0 and a1 = !c1 and a2 = !c2 and a3 = !c3 in
+      let gp = gam.(i - 1) and gc = gam.(i) and sc = sch.(i) in
+      c0 := C.min a0 a1;
+      c1 := C.add (C.min a2 a3) gc;
+      c2 := C.sub (C.min (C.add a0 gp) a1) sc;
+      c3 := C.sub (C.add (C.min (C.add a2 gp) a3) gc) sc;
+      f2.(i) <- !c2;
+      f3.(i) <- !c3
+    done;
+    let unforced =
+      List.fold_left
+        (fun acc (f, t) -> C.min acc (C.add f t))
+        C.inf
+        [ (!c0, t0); (!c1, t1); (!c2, t2); (!c3, t3) ]
+    in
+    let forced = Array.make k C.inf in
+    let b0 = ref t0 and b1 = ref t1 and b2 = ref t2 and b3 = ref t3 in
+    for i = k - 1 downto 0 do
+      if i < k - 1 then begin
+        let r0 = !b0 and r1 = !b1 and r2 = !b2 and r3 = !b3 in
+        let gi = gam.(i) and gn = gam.(i + 1) and sn = sch.(i + 1) in
+        let r2s = C.sub r2 sn in
+        b0 := C.min r0 (C.add r2s gi);
+        b1 := C.min r0 r2s;
+        b2 := C.add (C.min r1 (C.sub (C.add r3 gi) sn)) gn;
+        b3 := C.add (C.min r1 (C.sub r3 sn)) gn
+      end;
+      forced.(i) <- C.min (C.add f2.(i) !b2) (C.add f3.(i) !b3)
+    done;
+    (unforced, forced)
+
+  (* [gam.(i)] is position i's Γ charge, [sch.(i)] its S credit (both
+     already in cost units).  Returns the minimum over all subsets, ∅
+     included, and per position the minimum with that position in S. *)
+  let path ~gam ~sch =
+    sweep ~gam ~sch
+      ~init:(C.zero, C.inf, C.sub C.zero sch.(0), C.inf)
+      ~term:(C.zero, C.zero, C.zero, C.zero)
+
+  (* Cycles (length ≥ 3, position k−1 adjacent to 0): cut the wrap edge
+     and condition on (a, b) = (s_0, s_{k−1}).  The wrap charges v_0
+     when b, which the initial row pre-pays as "counted", and v_{k−1}
+     when a, unless already paid from the left, which the terminal row
+     adds; states violating s_{k−1} = b are unreachable there. *)
+  let cycle ~gam ~sch =
+    let k = Array.length gam in
+    let only st x =
+      ( (if st = 0 then x else C.inf),
+        (if st = 1 then x else C.inf),
+        (if st = 2 then x else C.inf),
+        if st = 3 then x else C.inf )
+    in
+    let combo (a, b) =
+      let s0 = if a then C.sub C.zero sch.(0) else C.zero in
+      let init = only ((if a then 2 else 0) + if b then 1 else 0)
+          (if b then C.add s0 gam.(0) else s0)
+      in
+      let wrap = if a then gam.(k - 1) else C.zero in
+      let term =
+        if b then (C.inf, C.inf, wrap, C.zero) else (wrap, C.zero, C.inf, C.inf)
+      in
+      sweep ~gam ~sch ~init ~term
+    in
+    let m, forced = combo (false, false) in
+    List.fold_left
+      (fun (m, forced) ab ->
+        let m', forced' = combo ab in
+        (C.min m m', Array.map2 C.min forced forced'))
+      (m, forced)
+      [ (false, true); (true, false); (true, true) ]
+end
+
+(* ------------------------------------------------------------------ *)
+(* The exact-rational instance                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Qdp = Make (struct
+  type t = Q.t option
+
+  let inf = None
+  let zero = Some Q.zero
+
+  let add a b =
+    match (a, b) with Some x, Some y -> Some (Q.add x y) | _ -> None
+
+  let sub a b =
+    match (a, b) with Some x, Some y -> Some (Q.sub x y) | _ -> None
+
+  let min a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some x, Some y -> if Q.compare y x < 0 then b else a
+end)
 
 let get = function
   | Some x -> x
   | None -> Ringshare_error.(error (Infeasible_dp "Chain_fast: empty table"))
 
-(* ------------------------------------------------------------------ *)
-(* Path components                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Returns (component minimum, members of the maximal minimiser). *)
-let solve_path g ~alpha verts =
-  let k = Array.length verts in
+(* (component minimum, members of the maximal minimiser) — a vertex is a
+   member iff forcing it into S still attains the minimum (minimisers
+   are closed under union). *)
+let solve dp g ~alpha verts =
   let ws = Array.map (Graph.weight g) verts in
-  let w i = ws.(i) in
-  if k = 1 then begin
-    (* forced s_0 = 1 costs -alpha*w0; the vertex is in the maximal
-       minimiser iff that equals the component minimum. *)
-    let forced = Q.neg (Q.mul alpha (w 0)) in
-    let m = Q.min Q.zero forced in
-    (m, if Q.equal forced m then [ verts.(0) ] else [])
-  end
-  else begin
-    (* forward tables: F.(i) = table after processing 0..i *)
-    let fwd = sweep ~alpha ~w ~init:(free_init ~alpha ~w0:(w 0)) k in
-    (* backward tables: run the same sweep on the reversed path *)
-    let wr i = w (k - 1 - i) in
-    let bwd_r = sweep ~alpha ~w:wr ~init:(free_init ~alpha ~w0:(wr 0)) k in
-    let bwd i = bwd_r.(k - 1 - i) in
-    let comp_min = get (table_min fwd.(k - 1)) in
-    let members = ref [] in
-    for i = 0 to k - 1 do
-      match combine ~alpha ~wv:(w i) ~want_s:(Some true) fwd.(i) (bwd i) with
-      | Some forced_min when Q.equal forced_min comp_min ->
-          members := verts.(i) :: !members
-      | _ -> ()
-    done;
-    (comp_min, !members)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Cycle components                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Cut the cycle between positions k-1 and 0 and condition on
-   (a, b) = (s_0, s_{k-1}).  The wrap edges charge v_0 when b and
-   v_{k-1} when a; those charges are folded into the sweep initial
-   tables as pre-paid "counted" flags. *)
-let solve_cycle g ~alpha verts =
-  let k = Array.length verts in
-  let ws = Array.map (Graph.weight g) verts in
-  let w i = ws.(i) in
-  let comp_min = ref None in
-  (* per-position forced minima, accumulated across (a, b) combinations *)
-  let forced = Array.make k None in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          (* forward sweep with s_0 = a, v_0 pre-charged iff b *)
-          let extra_f = if b then w 0 else Q.zero in
-          let init_f =
-            init_table ~alpha ~w0:(w 0) ~s0:a ~counted0:b ~extra:extra_f
-          in
-          let fwd = sweep ~alpha ~w ~init:init_f k in
-          (* backward sweep (reversed path) with s_{k-1} = b, v_{k-1}
-             pre-charged iff a *)
-          let wr i = w (k - 1 - i) in
-          let extra_b = if a then w (k - 1) else Q.zero in
-          let init_b =
-            init_table ~alpha ~w0:(wr 0) ~s0:b ~counted0:a ~extra:extra_b
-          in
-          let bwd_r = sweep ~alpha ~w:wr ~init:init_b k in
-          let bwd i = bwd_r.(k - 1 - i) in
-          (* this combination's assignments must agree at the boundary
-             positions; combining at any single position yields the total *)
-          for i = 0 to k - 1 do
-            let want_s = if i = 0 then Some a else if i = k - 1 then Some b else None in
-            (match combine ~alpha ~wv:(w i) ~want_s fwd.(i) (bwd i) with
-            | Some c ->
-                if i = 0 then comp_min := better !comp_min c;
-                (* forced membership: s_i = 1 *)
-                let may_force =
-                  match want_s with
-                  | None | Some true -> true
-                  | Some false -> false
-                in
-                if may_force then begin
-                  match
-                    combine ~alpha ~wv:(w i) ~want_s:(Some true) fwd.(i) (bwd i)
-                  with
-                  | Some cf -> forced.(i) <- better forced.(i) cf
-                  | None -> ()
-                end
-            | None -> ())
-          done)
-        [ false; true ])
-    [ false; true ];
-  let m = get !comp_min in
+  let gam = Array.map Option.some ws
+  and sch = Array.map (fun w -> Some (Q.mul alpha w)) ws in
+  let m, forced = dp ~gam ~sch in
+  let m = get m in
   let members = ref [] in
   Array.iteri
     (fun i f ->
@@ -198,6 +219,9 @@ let solve_cycle g ~alpha verts =
       | _ -> ())
     forced;
   (m, !members)
+
+let solve_path g ~alpha verts = solve Qdp.path g ~alpha verts
+let solve_cycle g ~alpha verts = solve Qdp.cycle g ~alpha verts
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -209,14 +233,13 @@ let c_oracle =
 let fp_iter = Failpoint.register "solver.fastchain.iter"
 
 let h_and_argmax ?(budget = Budget.unlimited) g ~mask ~alpha =
-  if not (Chain_solver.supports g ~mask) then
+  if not (supports g ~mask) then
     invalid_arg "Chain_fast: masked graph has a vertex of degree > 2";
   Obs.Counter.incr c_oracle;
-  let comps = Chain_solver.components g ~mask in
   let h = ref Q.zero in
   let s_max = ref Vset.empty in
   List.iter
-    (fun (comp : Chain_solver.component) ->
+    (fun comp ->
       Failpoint.hit fp_iter;
       Budget.tick ~cost:(1 + Array.length comp.verts) budget;
       let m, members =
@@ -225,7 +248,7 @@ let h_and_argmax ?(budget = Budget.unlimited) g ~mask ~alpha =
       in
       h := Q.add !h m;
       List.iter (fun v -> s_max := Vset.add v !s_max) members)
-    comps;
+    (components g ~mask);
   (!h, !s_max)
 
 let maximal_bottleneck ?budget g ~mask =

@@ -147,6 +147,15 @@ expect "unknown --solver" 4 $?
 grep -q "unknown solver" "$tmpdir/err" && grep -q "fast-chain" "$tmpdir/err" || {
   echo "FAIL: unknown --solver error does not list the backends" >&2
   cat "$tmpdir/err" >&2; fails=$((fails + 1)); }
+# the quadratic chain backend is gone: its old name is now an unknown
+# solver, and the message names the three that remain
+"$cli" sybil --ring 3,1,2,5 --solver chain > /dev/null 2> "$tmpdir/err"
+expect "--solver chain" 4 $?
+for known in brute fast-chain flow; do
+  grep "unknown solver" "$tmpdir/err" | grep -q "$known" || {
+    echo "FAIL: --solver chain error does not name $known" >&2
+    cat "$tmpdir/err" >&2; fails=$((fails + 1)); }
+done
 
 # 15. flag parity: every compute subcommand accepts the one shared set of
 #     execution flags (the Ctx term), so no subcommand drifts
@@ -319,6 +328,25 @@ then
   echo "FAIL: tampered checkpoint did not fail as one clean line" >&2
   cat "$tmpdir/err" >&2; fails=$((fails + 1))
 fi
+
+# 27. an agent off the graph is an input error in every subcommand that
+#     takes one: exit 2, one stderr line naming the range, never an
+#     uncaught exception or an out-of-bounds message
+for sub in "sybil --ring 3,1,2,5 --agent 4" \
+           "sybil --ring 3,1,2,5 --agent 4 --sweep exact" \
+           "sybil --ring 3,1,2,5 --agent 4 --identities 3" \
+           "general --ring 3,1,2,5 --agent 9" \
+           "breaks --ring 3,1,2,5 -v 4" "curve --ring 7,2,9 -v 3"; do
+  "$cli" $sub > /dev/null 2> "$tmpdir/err"
+  expect "out-of-range agent: $sub" 2 $?
+  if grep -q "Fatal error\|index out of bounds" "$tmpdir/err" \
+     || [ "$(wc -l < "$tmpdir/err")" -ne 1 ] \
+     || ! grep -q "out of range" "$tmpdir/err"
+  then
+    echo "FAIL: out-of-range agent ($sub) did not fail as one clean line" >&2
+    cat "$tmpdir/err" >&2; fails=$((fails + 1))
+  fi
+done
 
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"

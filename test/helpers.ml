@@ -86,6 +86,54 @@ let graph_gen ?(nmax = 8) ?(wmax = 20) () =
          ~weights:(Array.of_list (List.map Q.of_int ws))
          ~edges:!edges))
 
+(* ------------------------------------------------------------------ *)
+(* Brute-force oracle                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [h(α) = min_S w(Γ(S)) − α·w(S)] over every subset S of [mask], ∅
+   included, with Γ taken inside the mask, and the maximal minimiser as
+   the union of all minimisers.  Shares no code with the DP solvers, so
+   it serves as their reference on small masks. *)
+let brute_h_and_argmax g ~mask ~alpha =
+  let vs = Array.of_list (Vset.elements mask) in
+  let m = Array.length vs in
+  let pos v =
+    let rec go i = if i >= m then -1 else if vs.(i) = v then i else go (i + 1) in
+    go 0
+  in
+  let nbits =
+    Array.map
+      (fun v ->
+        Array.fold_left
+          (fun acc u ->
+            let j = pos u in
+            if j >= 0 then acc lor (1 lsl j) else acc)
+          0 (Graph.neighbors g v))
+      vs
+  in
+  let weight_of bits =
+    let acc = ref Q.zero in
+    Array.iteri
+      (fun i v -> if bits land (1 lsl i) <> 0 then acc := Q.add !acc (Graph.weight g v))
+      vs;
+    !acc
+  in
+  let best = ref Q.zero and union = ref 0 in
+  for s = 0 to (1 lsl m) - 1 do
+    let gamma = ref 0 in
+    Array.iteri (fun i nb -> if s land (1 lsl i) <> 0 then gamma := !gamma lor nb) nbits;
+    let cost = Q.sub (weight_of !gamma) (Q.mul alpha (weight_of s)) in
+    let c = Q.compare cost !best in
+    if c < 0 then begin
+      best := cost;
+      union := s
+    end
+    else if c = 0 then union := !union lor s
+  done;
+  let smax = ref Vset.empty in
+  Array.iteri (fun i v -> if !union land (1 lsl i) <> 0 then smax := Vset.add v !smax) vs;
+  (!best, !smax)
+
 let qtest ?(count = 100) name gen prop =
   (* Fixed seed: property tests are deterministic run-to-run; failures are
      therefore always reproducible. *)

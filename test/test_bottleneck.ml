@@ -100,6 +100,17 @@ let test_all_zero_rejected () =
 (* Solver agreement and invariants (properties)                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The whole-mask extraction loop over the exact-rational chain DP
+   (Chain_fast.Make's ℚ instance), bypassing the int-scaled driver. *)
+let q_chain g =
+  Decompose.For_testing.compute_generic
+    ~ctx:(Engine.Ctx.make ~solver:Decompose.FastChain ())
+    g
+
+let agree_q solver g =
+  Decompose.equal (q_chain g)
+    (Decompose.compute ~ctx:(Engine.Ctx.make ~solver ()) g)
+
 let agree solver_a solver_b g =
   Decompose.equal (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:solver_a ()) g)
     (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:solver_b ()) g)
@@ -108,11 +119,11 @@ let props =
   [
     Helpers.qtest ~count:120 "flow = brute on random graphs"
       (Helpers.graph_gen ()) (fun g -> agree Decompose.Flow Decompose.Brute g);
-    Helpers.qtest ~count:120 "chain = brute on rings" (Helpers.ring_gen ())
-      (fun g -> agree Decompose.Chain Decompose.Brute g);
-    Helpers.qtest ~count:120 "chain = flow on paths"
+    Helpers.qtest ~count:120 "Q chain DP = brute on rings"
+      (Helpers.ring_gen ()) (fun g -> agree_q Decompose.Brute g);
+    Helpers.qtest ~count:120 "Q chain DP = flow on paths"
       (Helpers.path_gen ~allow_zero:true ()) (fun g ->
-        agree Decompose.Chain Decompose.Flow g);
+        agree_q Decompose.Flow g);
     Helpers.qtest ~count:120 "Proposition 3 on rings" (Helpers.ring_gen ())
       (fun g ->
         match Decompose.validate g (Decompose.compute g) with
@@ -146,12 +157,12 @@ let props =
             Vset.empty d
         in
         total = Graph.n g && Vset.cardinal union = Graph.n g);
-    Helpers.qtest ~count:60 "chain oracle h(alpha*) = 0 at own ratio"
+    Helpers.qtest ~count:60 "Q chain oracle h(alpha*) = 0 at own ratio"
       (Helpers.ring_gen ~nmax:8 ()) (fun g ->
         let mask = Graph.full_mask g in
-        let b = Chain_solver.maximal_bottleneck g ~mask in
+        let b = Chain_fast.maximal_bottleneck g ~mask in
         let alpha = Graph.alpha_of_set g b in
-        let h, smax = Chain_solver.h_and_argmax g ~mask ~alpha in
+        let h, smax = Chain_fast.h_and_argmax g ~mask ~alpha in
         Q.is_zero h && Vset.equal smax b);
     Helpers.qtest ~count:60 "flow oracle h(alpha*) = 0 at own ratio"
       (Helpers.graph_gen ~nmax:7 ()) (fun g ->

@@ -1,5 +1,5 @@
-(* Tests for the linear-time chain solver: exact agreement with the
-   quadratic reference DP on paths, cycles, masks and degenerate
+(* Tests for the chain DP's exact-rational instance: exact agreement with
+   brute-force enumeration on paths, cycles, masks and degenerate
    weights. *)
 
 module Q = Rational
@@ -7,7 +7,7 @@ module Q = Rational
 let q = Q.of_ints
 
 let agree_h g mask alpha =
-  let h1, s1 = Chain_solver.h_and_argmax g ~mask ~alpha in
+  let h1, s1 = Helpers.brute_h_and_argmax g ~mask ~alpha in
   let h2, s2 = Chain_fast.h_and_argmax g ~mask ~alpha in
   Q.equal h1 h2 && Vset.equal s1 s2
 
@@ -91,13 +91,14 @@ let instance_gen =
 
 let props =
   [
-    Helpers.qtest ~count:400 "h_and_argmax agrees with reference DP"
+    Helpers.qtest ~count:400 "h_and_argmax agrees with brute force"
       instance_gen (fun (g, mask, alpha) -> agree_h g mask alpha);
     Helpers.qtest ~count:150 "full decomposition agrees" (Helpers.ring_gen ())
       (fun g ->
+        let ctx = Engine.Ctx.make ~solver:Decompose.FastChain () in
         Decompose.equal
-          (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:Decompose.Chain ()) g)
-          (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:Decompose.FastChain ()) g));
+          (Decompose.For_testing.compute_generic ~ctx g)
+          (Decompose.compute ~ctx g));
   ]
 
 let () =

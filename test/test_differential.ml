@@ -1,4 +1,4 @@
-(* Differential battery across the four decomposition solvers.
+(* Differential battery across the three decomposition solvers.
 
    Every random instance is decomposed by each applicable solver; the
    decompositions must be *identical* (same pairs, same alphas — not
@@ -9,7 +9,6 @@
 
 let all_solvers =
   [
-    ("chain", Decompose.Chain);
     ("fast-chain", Decompose.FastChain);
     ("flow", Decompose.Flow);
     ("brute", Decompose.Brute);

@@ -139,9 +139,11 @@ let test_registry () =
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true
         (List.exists (String.equal n) names))
-    [ "brute"; "chain"; "fast-chain"; "flow" ];
-  Alcotest.(check bool) "find chain" true
-    (Engine.Registry.find "chain" <> None);
+    [ "brute"; "fast-chain"; "flow" ];
+  Alcotest.(check bool) "find fast-chain" true
+    (Engine.Registry.find "fast-chain" <> None);
+  Alcotest.(check bool) "the quadratic chain backend is gone" true
+    (Engine.Registry.find "chain" = None);
   Alcotest.(check bool) "find unknown" true
     (Engine.Registry.find "simplex" = None);
   (* auto_select reproduces the historical Auto routing: the linear
@@ -166,11 +168,13 @@ let test_solver_names () =
       Alcotest.(check bool) ("roundtrip " ^ n) true
         (Engine.solver_of_name n = Some s))
     [
-      (Engine.Chain, "chain"); (Engine.FastChain, "fast-chain");
+      (Engine.FastChain, "fast-chain");
       (Engine.Flow, "flow"); (Engine.Brute, "brute"); (Engine.Auto, "auto");
     ];
   Alcotest.(check bool) "unregistered name rejected" true
-    (Engine.solver_of_name "simplex" = None)
+    (Engine.solver_of_name "simplex" = None);
+  Alcotest.(check bool) "chain is no longer a solver" true
+    (Engine.solver_of_name "chain" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-search cache: fewer computes, identical results               *)
