@@ -40,8 +40,8 @@ module Q = Rational
    - weights are scaled once, globally, to integers W_v = D·w_v
      (D = lcm of the denominators, ΣW ≤ 2^29), so per-solve setup is an
      int copy with no Bigint traffic.  When the graph as a whole does
-     not fit, per-component scaling and an exact-rational Chain_fast
-     fallback take over;
+     not fit, per-component scaling and the exact-rational instance of
+     Chain_fast.Make take over;
    - the DP runs on flat int tables in reusable scratch buffers, and
      minimiser members land in a reusable position buffer instead of a
      per-iteration list (Dinkelbach.solve_poly at ['set = unit]).
@@ -79,14 +79,18 @@ let fp_iter = Failpoint.register "solver.fastchain.iter"
 (* Allocation-lean scaled-integer DP kernel                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Chain_fast's per-component DP carries Q.t option tables and allocates
-   a fresh 4-entry array per position per sweep.  Here the same DP runs
-   on flat int arrays in reusable scratch buffers: with scaled weights
-   W_i and costs carried at scale q·D for the current α = p/q,
-   Γ-charges pay +q·W_i and S-terms −p·W_i.  With ΣW ≤ 2^29 (enforced
-   by the scalers below) and q ≤ ΣW, p ≤ q (α ≤ 1 throughout), every
-   table entry is bounded by 2·q·ΣW ≤ 2^59, comfortably inside 63-bit
-   ints.  Unreachable states carry [sentinel]. *)
+(* This is the DP of Chain_fast.Make, hand-specialised to ints: the
+   functor's exact-rational instance carries Q.t option costs, and even
+   an int instance of the functor is too slow here — routing this
+   kernel through it cut grid-screen throughput by about 30% on a
+   shared 2-core host (OCaml 5.1.1 without flambda does not inline
+   functor calls).  Here the DP runs on flat int arrays in reusable
+   scratch buffers: with scaled weights W_i and costs carried at scale
+   q·D for the current α = p/q, Γ-charges pay +q·W_i and S-terms
+   −p·W_i.  With ΣW ≤ 2^29 (enforced by the scalers below) and q ≤ ΣW,
+   p ≤ q (α ≤ 1 throughout), every table entry is bounded by
+   2·q·ΣW ≤ 2^59, comfortably inside 63-bit ints.  Unreachable states
+   carry [sentinel]. *)
 
 (* The backward direction is never materialised: it rolls as a 4-state
    row fused with the position combine, so one oracle call streams the
@@ -136,8 +140,8 @@ let q_neg_one = Q.of_ints (-1) 1
 let q_of_sign m = if m < 0 then q_neg_one else if m > 0 then Q.one else Q.zero
 
 (* The DP states encode (s_i, Γ-charge of v_i already paid from the
-   left), as in Chain_fast.step_forward; the four transitions in the
-   sweeps below are that function's cases at integer scale.  Sweeps roll
+   left), as in Chain_fast.Make; the four transitions in the sweeps
+   below are its forward and backward rows at integer scale.  Sweeps roll
    all four states in locals; the forward sweep stores only the two
    s = true states per position (the combine never reads the others), so
    one oracle call streams 2 stored ints per position each way. *)
@@ -235,8 +239,8 @@ let oracle_path_int sc k ~p ~q =
 
 (* Cycles: cut between positions k-1 and 0 and condition on the boundary
    memberships (a, b) = (s_0, s_{k-1}), pre-paying the wrap-edge charges
-   in the initial tables — the int-scale mirror of
-   Chain_fast.solve_cycle. *)
+   in the initial tables — the int-scale mirror of Chain_fast.Make's
+   cycle. *)
 let oracle_cycle_int sc k ~p ~q =
   let w = sc.wi in
   let f = sc.fwd and forced = sc.forced in
@@ -466,7 +470,7 @@ let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
             finish alpha
       end
   | None ->
-      (* Exact-rational fallback on the Chain_fast component DP; members
+      (* Exact-rational fallback on Chain_fast.Make's ℚ instance; members
          come back as vertex ids, so Γ runs over a local position
          table — no shared state, safe under Parwork sharding. *)
       Obs.Counter.incr c_q_fallback;

@@ -30,36 +30,19 @@ let components g ~mask =
         collect v0;
         let members = !members in
         let degree v = List.length (masked_neighbors g mask v) in
-        let endpoint = List.find_opt (fun v -> degree v <= 1) members in
-        match endpoint with
-        | Some e ->
-            (* Path: walk from the endpoint. *)
-            let rec walk prev cur acc =
-              let acc = cur :: acc in
-              match List.filter (fun u -> u <> prev) (masked_neighbors g mask cur) with
-              | [] -> List.rev acc
-              | [ next ] -> walk cur next acc
-              | _ -> assert false
-            in
-            comps :=
-              { verts = Array.of_list (walk (-1) e []); cycle = false }
-              :: !comps
-        | None ->
-            (* Cycle: walk from any vertex. *)
-            let start = List.hd members in
-            let rec walk prev cur acc =
-              if cur = start && prev <> -1 then List.rev acc
-              else
-                let acc = cur :: acc in
-                match
-                  List.filter (fun u -> u <> prev) (masked_neighbors g mask cur)
-                with
-                | next :: _ -> walk cur next acc
-                | [] -> assert false
-            in
-            comps :=
-              { verts = Array.of_list (walk (-1) start []); cycle = true }
-              :: !comps
+        (* a path is walked from an endpoint, a cycle from any vertex *)
+        let start, cycle =
+          match List.find_opt (fun v -> degree v <= 1) members with
+          | Some e -> (e, false)
+          | None -> (List.hd members, true)
+        in
+        let rec walk prev cur acc =
+          let acc = cur :: acc in
+          match List.filter (fun u -> u <> prev) (masked_neighbors g mask cur) with
+          | next :: _ when next <> start -> walk cur next acc
+          | _ -> List.rev acc
+        in
+        comps := { verts = Array.of_list (walk (-1) start []); cycle } :: !comps
       end)
     mask;
   !comps
