@@ -14,7 +14,7 @@
      family     the tightness family zeta(k) = 2 - 1/(5k+1)
      audit      per-agent incentive-ratio audit of a network
      hunt       random search for high-incentive-ratio rings
-     verify     symbolic (Sturm) certificate that zeta_v <= 2
+     verify     exact piecewise certificate that zeta_v <= 2
      save       write the instance to a ringshare-graph file *)
 
 open Cmdliner
@@ -461,23 +461,23 @@ let verify g ctx v () =
   match Symbolic.verify_theorem8 ~ctx g ~v with
   | Error m -> Format.printf "internal error: %s@." m
   | Ok r ->
-      Format.printf
-        "agent %d: honest U_v = %s; %d structure intervals, %d gap brackets@."
-        v (Q.to_string r.Symbolic.honest)
-        (List.length r.Symbolic.intervals)
-        (List.length r.Symbolic.gaps);
+      Format.printf "agent %d: honest U_v = %s; %d structure intervals@." v
+        (Q.to_string r.Symbolic.honest)
+        (List.length r.Symbolic.intervals);
       List.iter
         (fun (iv : Symbolic.interval) ->
           Format.printf
             "  [%.5f, %.5f]  U(w1) = (%a) / (%a)@.                    bound 2*U_v: %s; best here %.5f@."
-            (Q.to_float iv.lo) (Q.to_float iv.hi) Poly.pp iv.num Poly.pp
+            (Qx.to_float iv.lo) (Qx.to_float iv.hi) Poly.pp iv.num Poly.pp
             iv.den
             (if iv.bound_holds then "PROVED" else "unproven")
-            (Q.to_float iv.best_here))
+            (Qx.to_float iv.best_here))
         r.Symbolic.intervals;
       Format.printf "best attack utility found: %s (ratio %.5f)@."
-        (Q.to_string r.Symbolic.best_found)
-        (Q.to_float (Q.div r.Symbolic.best_found r.Symbolic.honest));
+        (Qx.to_string r.Symbolic.best_found)
+        (Qx.to_float
+           (Incentive.ratio ~utility:r.Symbolic.best_found
+              ~honest:r.Symbolic.honest));
       Format.printf "Theorem 8 for this agent: %s@."
         (if r.Symbolic.certified then "CERTIFIED (zeta_v <= 2)"
          else "NOT fully certified")

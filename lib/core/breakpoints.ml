@@ -7,68 +7,36 @@ type event = {
   after : Decompose.t;
 }
 
-let decomposition_at ?ctx g ~v ~x =
-  Decompose.compute ?ctx (Graph.with_weight g v x)
-
-(* Generic scan of a decomposition-valued function over [0, span]. *)
-let scan_fn ~grid ~tolerance ~span decomp =
-  if Q.sign span <= 0 then []
-  else begin
-    let rec bisect lo dlo hi dhi acc =
-      (* invariant: dlo <> dhi *)
-      if Q.compare (Q.sub hi lo) tolerance <= 0 then
-        { lo; hi; before = dlo; after = dhi } :: acc
-      else
-        let mid = Q.div_int (Q.add lo hi) 2 in
-        let dmid = decomp mid in
-        if Decompose.same_structure dlo dmid then bisect mid dmid hi dhi acc
-        else if Decompose.same_structure dmid dhi then bisect lo dlo mid dmid acc
-        else
-          (* Two separate changes inside the cell: recurse on both halves,
-             lower half first so the accumulator stays in scan order. *)
-          bisect mid dmid hi dhi (bisect lo dlo mid dmid acc)
-    in
-    let step = Q.div_int span grid in
-    let rec walk i x dx acc =
-      if i > grid then List.rev acc
-      else
-        let x' = if i = grid then span else Q.mul_int step i in
-        let dx' = decomp x' in
-        let acc = if Decompose.same_structure dx dx' then acc else bisect x dx x' dx' acc in
-        walk (i + 1) x' dx' acc
-    in
-    let d0 = decomp Q.zero in
-    walk 1 Q.zero d0 []
-  end
-
-let scan ?ctx ?tolerance g ~v =
+let scan ?ctx g ~v =
   let ctx = Engine.Ctx.get ctx in
   let w = Graph.weight g v in
-  if Q.is_zero w then []
-  else
-    let tolerance =
-      match tolerance with
-      | Some t -> t
-      | None -> Q.div_int w (1 lsl 20)
-    in
-    scan_fn ~grid:ctx.Engine.Ctx.grid ~tolerance ~span:w (fun x ->
-        decomposition_at ~ctx g ~v ~x)
-
-let scan_split ?ctx ?tolerance g ~v =
-  let ctx = Engine.Ctx.get ctx in
-  let w = Graph.weight g v in
-  if Q.is_zero w then []
-  else
-    let tolerance =
-      match tolerance with
-      | Some t -> t
-      | None -> Q.div_int w (1 lsl 20)
-    in
-    let decomp w1 =
-      let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub w w1) in
-      Decompose.compute ~ctx s.Sybil.path
-    in
-    scan_fn ~grid:ctx.Engine.Ctx.grid ~tolerance ~span:w decomp
+  let tolerance = Q.div_int w (1 lsl 20) in
+  let decomp x = Decompose.compute ~ctx (Graph.with_weight g v x) in
+  let rec bisect lo dlo hi dhi acc =
+    (* invariant: dlo <> dhi *)
+    if Q.compare (Q.sub hi lo) tolerance <= 0 then
+      { lo; hi; before = dlo; after = dhi } :: acc
+    else
+      let mid = Q.div_int (Q.add lo hi) 2 in
+      let dmid = decomp mid in
+      if Decompose.same_structure dlo dmid then bisect mid dmid hi dhi acc
+      else if Decompose.same_structure dmid dhi then bisect lo dlo mid dmid acc
+      else
+        (* Two separate changes inside the cell: recurse on both halves,
+           lower half first so the accumulator stays in scan order. *)
+        bisect mid dmid hi dhi (bisect lo dlo mid dmid acc)
+  in
+  let grid = ctx.Engine.Ctx.grid in
+  let step = Q.div_int w grid in
+  let rec walk i x dx acc =
+    if i > grid then List.rev acc
+    else
+      let x' = if i = grid then w else Q.mul_int step i in
+      let dx' = decomp x' in
+      let acc = if Decompose.same_structure dx dx' then acc else bisect x dx x' dx' acc in
+      walk (i + 1) x' dx' acc
+  in
+  if Q.is_zero w then [] else walk 1 Q.zero (decomp Q.zero) []
 
 (* ------------------------------------------------------------------ *)
 (* Exact split-parameter pieces and events (DESIGN §16)                *)

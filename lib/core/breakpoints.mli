@@ -2,10 +2,12 @@
     weight varies (paper, Section III.B: the subinterval structure
     [⟨a_i, b_i⟩] and Proposition 12's merge/split events).
 
-    The decomposition is piecewise constant in the reported weight [x]; a
-    grid scan finds candidate intervals and exact-rational bisection
-    narrows each change to a bracket [(lo, hi)] with
-    [decomposition(lo) ≠ decomposition(hi)] and [hi − lo ≤ tolerance]. *)
+    Two walks, one per parameter.  The Sybil split parameter [w1] has an
+    exact walk ({!exact_split_pieces}): the split path has max degree 2,
+    so every piece boundary is found exactly, as a quadratic surd.  The
+    misreport line [x = w_v] of an arbitrary graph has only {!scan}, a
+    grid plus exact-rational bisection that brackets each change — it
+    serves graphs the exact walk cannot, such as the paper's Fig. 1. *)
 
 type event = {
   lo : Rational.t;
@@ -14,26 +16,23 @@ type event = {
   after : Decompose.t;  (** decomposition at [hi] *)
 }
 
-val decomposition_at :
-  ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> x:Rational.t -> Decompose.t
-
-val scan :
-  ?ctx:Engine.Ctx.t -> ?tolerance:Rational.t -> Graph.t -> v:int ->
-  event list
-(** Change events over [x ∈ [0, w_v]], in increasing order.  The grid
+val scan : ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> event list
+(** Change events of the decomposition of [g] with [v]'s weight set to
+    [x], over [x ∈ [0, w_v]], in increasing order: a grid scan finds the
+    cells whose end decompositions differ and bisection narrows each
+    change to a bracket [(lo, hi)] with [hi − lo ≤ w_v / 2^20].  The grid
     width comes from [ctx.grid] ({!Engine.Ctx.default_grid} when the
-    context is absent); [tolerance] defaults to [w_v / 2^20].  A grid cell
-    hiding an even number of changes that restore the same decomposition
-    is reported as zero events (the scan sees equal endpoints); increase
-    [grid] to separate suspected events. *)
+    context is absent).  A grid cell hiding an even number of changes
+    that restore the same decomposition is reported as zero events (the
+    scan sees equal endpoints); increase [grid] to separate suspected
+    events. *)
 
-val scan_split :
-  ?ctx:Engine.Ctx.t -> ?tolerance:Rational.t -> Graph.t -> v:int ->
-  event list
-(** Like {!scan}, but the parameter is the Sybil split weight: events in
-    the decomposition of the path [P_v(w1, w_v − w1)] as [w1] sweeps
-    [[0, w_v]].  Vertex ids in the events follow {!Sybil.split}
-    ([v¹ = v], [v² = n]). *)
+val affine_of_set :
+  Graph.t -> v1:int -> v2:int -> total:Rational.t -> Vset.t ->
+  Rational.t * int
+(** [(c, s)]: the weight of a vertex set as the affine function [c + s·x]
+    of a two-vertex slice, where [v1] carries [x], [v2] carries
+    [total − x] and every other vertex keeps its weight in the graph. *)
 
 (** {1 Exact split-parameter events}
 
@@ -51,9 +50,9 @@ val scan_split :
     family complete: shape conditions alone would miss a pair splitting
     when a proper subset's ratio crosses [α_i].  Piece boundaries are
     roots of the candidates — quadratic irrationals, representable
-    exactly as {!Qx.t}.  Unlike {!scan_split}, this enumeration has no
-    grid: a cell hiding an even number of cancelling changes cannot fool
-    it, and the work is proportional to the number of events. *)
+    exactly as {!Qx.t}.  The enumeration has no grid: a cell hiding an
+    even number of cancelling changes cannot fool it, and the work is
+    proportional to the number of events. *)
 
 type exact_piece = {
   xlo : Qx.t;  (** piece lower boundary (exact) *)

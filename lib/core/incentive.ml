@@ -18,18 +18,14 @@ type exact_attack = {
   events : int;
 }
 
-let ratio_value ~utility ~honest =
-  if Q.is_zero honest then if Q.is_zero utility then Q.one else Q.inf
-  else Q.div utility honest
-
-let ratio_value_qx ~utility ~honest =
+let ratio ~utility ~honest =
   if Q.is_zero honest then
     if Qx.sign utility = 0 then Qx.of_q Q.one else Qx.of_q Q.inf
   else Qx.div_q utility honest
 
 let attack_of ~v ~weights ~utility ~honest =
   { v; w1 = weights.(0); weights; utility; honest;
-    ratio = ratio_value ~utility ~honest }
+    ratio = Qx.to_q_exn (ratio ~utility:(Qx.of_q utility) ~honest) }
 
 (* A 2-split as its weight vector. *)
 let pair w w1 = [| w1; Q.sub w w1 |]
@@ -238,17 +234,6 @@ let dyadic_bracket x =
   let lo = Q.make (Qx.floor scaled) (Bigint.of_int witness_denom) in
   (lo, Q.add lo (Q.of_ints 1 witness_denom))
 
-(* N'·D − N·D': its roots are the critical points of N/D. *)
-let derivative_numerator (num, den) =
-  Poly.sub (Poly.mul (Poly.derive num) den) (Poly.mul num (Poly.derive den))
-
-(* Horner evaluation in the quadratic-surd field; [Poly.coeffs] is
-   ascending. *)
-let poly_eval_qx p x =
-  List.fold_right
-    (fun c acc -> Qx.add_q (Qx.mul acc x) c)
-    (Poly.coeffs p) (Qx.of_q Q.zero)
-
 (* ------------------------------------------------------------------ *)
 (* Two identities, grid sweep                                          *)
 (* ------------------------------------------------------------------ *)
@@ -326,20 +311,21 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
       witness = witness_at Q.zero u;
       w1_exact = Qx.of_q Q.zero;
       utility_exact = Qx.of_q u;
-      ratio_exact = ratio_value_qx ~utility:(Qx.of_q u) ~honest;
+      ratio_exact = ratio ~utility:(Qx.of_q u) ~honest;
       pieces = 0;
       events = 0;
     }
   end
   else begin
+    let n = Graph.n g in
     let pieces = Breakpoints.exact_split_pieces ~ctx:s.ctx g ~v in
     let events = structure_changes pieces in
     let evals = ref 0 and criticals = ref 0 in
     let best = ref None in
     (* strict improvement only: the first candidate of a utility tie —
-       walking the pieces left to right — is the reported optimum *)
+       walking the pieces left to right, each piece's candidates in
+       [Symbolic.maximise_piece]'s order — is the reported optimum *)
     let consider x u =
-      incr evals;
       match !best with
       | Some (_, bu) when Qx.compare u bu <= 0 -> ()
       | _ -> best := Some (x, u)
@@ -347,44 +333,22 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
     List.iter
       (fun (p : Breakpoints.exact_piece) ->
         Budget.tick ~cost:s.cost s.budget;
-        if Qx.equal p.Breakpoints.xlo p.Breakpoints.xhi then
+        if Qx.equal p.Breakpoints.xlo p.Breakpoints.xhi then begin
           (* point piece: its structure lives at one rational point, so
              evaluate the mechanism there directly *)
+          incr evals;
           consider (Qx.of_q p.sample) (Qx.of_q (mech p.sample))
+        end
         else begin
-          let num, den =
-            Symbolic.utility_function g ~v ~structure:p.structure
-              ~v2:(Graph.n g)
+          let m =
+            Symbolic.maximise_piece
+              (Symbolic.slice_utility_function g ~v1:v ~v2:n ~total:w
+                 ~structure:p.structure ~ids:[| v; n |])
+              p
           in
-          let consider_form x =
-            let de = poly_eval_qx den x in
-            if Qx.sign de <> 0 then consider x (Qx.div (poly_eval_qx num x) de)
-          in
-          (* the closed form extends continuously to the piece boundary
-             (Theorem 10), so closed-endpoint evaluation is sound even
-             where the at-point structure differs *)
-          consider_form p.xlo;
-          (* interior critical points, which the degree-≤2 derivative
-             theorem (DESIGN §16) trims to the roots of a quadratic *)
-          let e = derivative_numerator (num, den) in
-          if Poly.degree e > 2 then
-            invalid_arg
-              "Incentive.best_split_exact: derivative numerator exceeds \
-               degree 2";
-          if not (Poly.is_zero e) then
-            List.iter
-              (fun r ->
-                if Qx.compare p.xlo r < 0 && Qx.compare r p.xhi < 0 then begin
-                  incr criticals;
-                  consider_form r
-                end)
-              (Qx.roots2 ~a:(Poly.coeff e 2) ~b:(Poly.coeff e 1)
-                 ~c:(Poly.coeff e 0));
-          consider_form p.xhi;
-          (* anchor: the sampled interior point, by rational evaluation *)
-          consider (Qx.of_q p.sample)
-            (Qx.of_q
-               (Q.div (Poly.eval num p.sample) (Poly.eval den p.sample)))
+          evals := !evals + m.Symbolic.evals;
+          criticals := !criticals + m.Symbolic.criticals;
+          consider m.Symbolic.arg m.Symbolic.value
         end)
       pieces;
     let w1x, ux = match !best with Some b -> b | None -> assert false in
@@ -420,7 +384,7 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
       witness;
       w1_exact = w1x;
       utility_exact = ux;
-      ratio_exact = ratio_value_qx ~utility:ux ~honest;
+      ratio_exact = ratio ~utility:ux ~honest;
       pieces = List.length pieces;
       events;
     }
@@ -603,7 +567,7 @@ let splitk_exact ?ctx ?budget ?honest g ~v =
               add_qx p.Breakpoints.xhi;
               if not (Qx.equal p.Breakpoints.xlo p.Breakpoints.xhi) then begin
                 let e =
-                  derivative_numerator
+                  Symbolic.derivative_numerator
                     (Symbolic.slice_utility_function ks.Sybil.kpath ~v1 ~v2
                        ~total ~structure:p.Breakpoints.structure
                        ~ids:ks.Sybil.ids)
@@ -837,7 +801,7 @@ let best_of_fields ~ctx g fields =
             if
               not
                 (Qx.equal ratio_exact
-                   (ratio_value_qx ~utility:utility_exact ~honest))
+                   (ratio ~utility:utility_exact ~honest))
             then
               Checkpoint.invalid
                 "exact_ratio is not exact_utility / best_honest";

@@ -87,9 +87,10 @@ val best_split_exact :
     [ctx.identities] and [ctx.sweep] say: enumerate the
     structure-constant pieces of [w_{v¹}] exactly
     ({!Breakpoints.exact_split_pieces}), maximise each piece's
-    closed-form utility [N/D] ({!Symbolic.utility_function}) over its
-    closed interval — endpoints plus the roots of the degree-≤2
-    derivative numerator [N'·D − N·D'] — and return the best point.  The
+    closed-form utility [N/D] over its closed interval
+    ({!Symbolic.maximise_piece}: endpoints plus the roots of the
+    degree-≤2 derivative numerator [N'·D − N·D']) — a point piece by
+    the mechanism's value there — and return the best point.  The
     result is the true supremum: [ratio_exact] is at least the [ratio]
     of {!best_split} at {e any} grid/refine setting.  The first
     candidate of a utility tie, walking pieces left to right, wins.
@@ -155,6 +156,11 @@ val best_attack_within :
     {!best_split} (bit-identical to the sequential sweep), so the
     checkpoint stream — one snapshot per vertex, in order — is unchanged
     by parallelism. *)
+
+val ratio : utility:Qx.t -> honest:Rational.t -> Qx.t
+(** The incentive ratio [utility / honest], with the convention for a
+    zero honest utility: [0/0 = 1] and [u/0 = ∞] for [u > 0].  Every
+    [ratio] and [ratio_exact] above is computed by it. *)
 
 val ratio_of_attack : attack -> float
 (** Convenience float view. *)

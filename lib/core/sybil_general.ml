@@ -130,9 +130,7 @@ let[@lint.allow "config-drift"] best_attack ?ctx ?(grid = 6) ?(max_degree = 5)
           | Some (_, bu, _) when Q.compare u bu <= 0 -> ()
           | _ ->
               let ratio =
-                if Q.is_zero honest then
-                  if Q.is_zero u then Q.one else Q.inf
-                else Q.div u honest
+                Qx.to_q_exn (Incentive.ratio ~utility:(Qx.of_q u) ~honest)
               in
               best := Some (spec, u, ratio))
         weight_choices)

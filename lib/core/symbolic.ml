@@ -1,42 +1,25 @@
 module Q = Rational
 
 type interval = {
-  lo : Q.t;
-  hi : Q.t;
+  lo : Qx.t;
+  hi : Qx.t;
   num : Poly.t;
   den : Poly.t;
   bound_holds : bool;
-  best_here : Q.t;
+  best_here : Qx.t;
 }
 
 type report = {
   v : int;
   honest : Q.t;
   intervals : interval list;
-  gaps : (Q.t * Q.t) list;
   certified : bool;
-  best_found : Q.t;
+  best_found : Qx.t;
 }
 
-(* Weight of a vertex set as a linear polynomial in w1 (the first
-   identity's weight), given the two identity ids and the total W. *)
-let set_weight_poly g ~v1 ~v2 ~total set =
-  let const = ref Q.zero and slope = ref Q.zero in
-  Vset.iter
-    (fun u ->
-      if u = v1 then slope := Q.add !slope Q.one
-      else if u = v2 then begin
-        (* v2 carries W - w1 *)
-        const := Q.add !const total;
-        slope := Q.sub !slope Q.one
-      end
-      else const := Q.add !const (Graph.weight g u))
-    set;
-  Poly.linear !const !slope
-
 (* One identity's utility as a rational function (numerator, denominator)
-   of w1, inside a fixed decomposition structure.  [v1] carries w1, [v2]
-   carries total − w1; any other id keeps its fixed graph weight. *)
+   of x, inside a fixed decomposition structure.  [v1] carries x, [v2]
+   carries total − x; any other id keeps its fixed graph weight. *)
 let identity_utility g ~v1 ~v2 ~total structure id =
   let p = Decompose.pair_of structure id in
   let own =
@@ -48,8 +31,11 @@ let identity_utility g ~v1 ~v2 ~total structure id =
     (* self pair (alpha = 1): the identity receives its own weight *)
     (own, Poly.one)
   else begin
-    let wb = set_weight_poly g ~v1 ~v2 ~total p.Decompose.b in
-    let wc = set_weight_poly g ~v1 ~v2 ~total p.Decompose.c in
+    let weight set =
+      let c, s = Breakpoints.affine_of_set g ~v1 ~v2 ~total set in
+      Poly.linear c (Q.of_int s)
+    in
+    let wb = weight p.Decompose.b and wc = weight p.Decompose.c in
     if Vset.mem id p.Decompose.b then
       (* U = w_id * w(C)/w(B) *)
       if Poly.is_zero wb then (Poly.zero, Poly.one)
@@ -58,145 +44,121 @@ let identity_utility g ~v1 ~v2 ~total structure id =
     else (Poly.mul own wb, wc)
   end
 
-let utility_function g ~v ~structure ~v2 =
-  let total = Graph.weight g v in
-  let n1, d1 = identity_utility g ~v1:v ~v2 ~total structure v in
-  let n2, d2 = identity_utility g ~v1:v ~v2 ~total structure v2 in
-  ( Poly.add (Poly.mul n1 d2) (Poly.mul n2 d1),
-    Poly.mul d1 d2 )
-
 (* Σ_j U_{ids.(j)} over a common denominator, on a slice where only the
    weights of [v1] (= x) and [v2] (= total − x) vary and every other
    vertex — including the remaining identities — keeps the weight it
-   has in [path].  [path] must be the materialised split graph, not the
-   ring: the fixed identities' ids only exist there. *)
-let slice_utility_function path ~v1 ~v2 ~total ~structure ~ids =
+   has in [g]. *)
+let slice_utility_function g ~v1 ~v2 ~total ~structure ~ids =
   Array.fold_left
     (fun (n_acc, d_acc) id ->
-      let n, d = identity_utility path ~v1 ~v2 ~total structure id in
+      let n, d = identity_utility g ~v1 ~v2 ~total structure id in
       (Poly.add (Poly.mul n_acc d) (Poly.mul n d_acc), Poly.mul d_acc d))
     (Poly.zero, Poly.one) ids
 
-(* Exact attack utility at a concrete split, straight from the mechanism. *)
-let exact_utility ~ctx g ~v w1 = Sybil.split_utility ~ctx g ~v ~w1
+let derivative_numerator (num, den) =
+  Poly.sub (Poly.mul (Poly.derive num) den) (Poly.mul num (Poly.derive den))
 
-let verify_theorem8 ?ctx ?tolerance g ~v =
+(* Horner evaluation in the quadratic-surd field; [Poly.coeffs] is
+   ascending. *)
+let eval_qx p x =
+  List.fold_right
+    (fun c acc -> Qx.add_q (Qx.mul acc x) c)
+    (Poly.coeffs p) (Qx.of_q Q.zero)
+
+type piece_max = { arg : Qx.t; value : Qx.t; evals : int; criticals : int }
+
+let maximise_piece (num, den) (p : Breakpoints.exact_piece) =
+  let best = ref None and evals = ref 0 and criticals = ref 0 in
+  (* strict improvement only: the first candidate of a tie wins *)
+  let consider x u =
+    incr evals;
+    match !best with
+    | Some (_, bu) when Qx.compare u bu <= 0 -> ()
+    | _ -> best := Some (x, u)
+  in
+  let consider_form x =
+    let de = eval_qx den x in
+    if Qx.sign de <> 0 then consider x (Qx.div (eval_qx num x) de)
+  in
+  (* the closed form extends continuously to the piece boundary
+     (Theorem 10), so closed-endpoint evaluation is sound even where the
+     at-point structure differs *)
+  consider_form p.xlo;
+  (* interior critical points, which the degree-≤2 derivative theorem
+     (DESIGN §16) trims to the roots of a quadratic *)
+  let e = derivative_numerator (num, den) in
+  if Poly.degree e > 2 then
+    invalid_arg
+      "Symbolic.maximise_piece: derivative numerator exceeds degree 2";
+  if not (Poly.is_zero e) then
+    List.iter
+      (fun r ->
+        if Qx.compare p.xlo r < 0 && Qx.compare r p.xhi < 0 then begin
+          incr criticals;
+          consider_form r
+        end)
+      (Qx.roots2 ~a:(Poly.coeff e 2) ~b:(Poly.coeff e 1) ~c:(Poly.coeff e 0));
+  consider_form p.xhi;
+  (* anchor: the sampled interior point, by rational evaluation *)
+  consider (Qx.of_q p.sample)
+    (Qx.of_q (Q.div (Poly.eval num p.sample) (Poly.eval den p.sample)));
+  match !best with
+  | Some (arg, value) -> { arg; value; evals = !evals; criticals = !criticals }
+  | None -> assert false
+
+let verify_theorem8 ?ctx g ~v =
   let ctx = Engine.Ctx.get ctx in
-  let total = Graph.weight g v in
+  let n = Graph.n g and total = Graph.weight g v in
   let honest = Sybil.honest_utility ~ctx g ~v in
-  if Q.is_zero total then
-    Ok
-      {
-        v;
-        honest;
-        intervals = [];
-        gaps = [];
-        certified = true;
-        best_found = honest;
-      }
-  else begin
-    let events = Breakpoints.scan_split ~ctx ?tolerance g ~v in
-    let pieces =
-      (* closed intervals between consecutive event brackets *)
-      let cuts =
-        Q.zero
-        :: List.concat_map
-             (fun (ev : Breakpoints.event) -> [ ev.lo; ev.hi ])
-             events
-        @ [ total ]
+  let two_h = Q.mul_int honest 2 in
+  let mech w1 = Sybil.split_utility ~ctx g ~v ~w1 in
+  let error = ref None in
+  let interval (p : Breakpoints.exact_piece) =
+    if Qx.equal p.xlo p.xhi then begin
+      (* point piece: its structure lives at one rational point *)
+      let u = mech p.sample in
+      { lo = p.xlo; hi = p.xhi; num = Poly.constant u; den = Poly.one;
+        bound_holds = Q.compare u two_h <= 0; best_here = Qx.of_q u }
+    end
+    else begin
+      let num, den =
+        slice_utility_function g ~v1:v ~v2:n ~total ~structure:p.structure
+          ~ids:[| v; n |]
       in
-      let rec pair_up = function
-        | a :: b :: rest -> (a, b) :: pair_up rest
-        | _ -> []
-      in
-      pair_up cuts
-    in
-    let gaps =
-      List.map (fun (ev : Breakpoints.event) -> (ev.lo, ev.hi)) events
-    in
-    let best = ref honest in
-    let note_candidate w1 =
-      let w1 = Q.max Q.zero (Q.min total w1) in
-      let u = exact_utility ~ctx g ~v w1 in
-      if Q.compare u !best > 0 then best := u;
-      u
-    in
-    let error = ref None in
-    let two_h = Q.mul_int honest 2 in
-    let intervals =
-      List.map
-        (fun (a, b) ->
-          if Q.compare a b >= 0 then begin
-            let u = note_candidate a in
-            {
-              lo = a;
-              hi = b;
-              num = Poly.constant u;
-              den = Poly.one;
-              bound_holds = Q.compare u two_h <= 0;
-              best_here = u;
-            }
-          end
-          else begin
-            let mid = Q.div_int (Q.add a b) 2 in
-            let s = Sybil.split_free g ~v ~w1:mid ~w2:(Q.sub total mid) in
-            let structure = Decompose.compute ~ctx s.Sybil.path in
-            let num, den =
-              utility_function g ~v ~structure ~v2:s.Sybil.v2
-            in
-            (* consistency: the rational function must agree exactly with
-               the mechanism at interior sample points *)
-            let consistent pt =
-              let dv = Poly.eval den pt in
-              if Q.sign dv <= 0 then false
-              else
-                Q.equal (Q.div (Poly.eval num pt) dv)
-                  (exact_utility ~ctx g ~v pt)
-            in
-            let third = Q.add a (Q.div_int (Q.sub b a) 3) in
-            if not (consistent mid && consistent third) then
-              error :=
-                Some
-                  (Format.asprintf
-                     "symbolic utility mismatch on [%a, %a]" Q.pp a Q.pp b);
-            (* the certified inequality *)
-            let margin =
-              Poly.sub (Poly.scale two_h den) num
-            in
-            let bound_holds =
-              Poly.non_negative_on den ~lo:a ~hi:b
-              && Poly.non_negative_on margin ~lo:a ~hi:b
-            in
-            (* candidate optima: endpoints + critical points of N/D *)
-            let deriv_num =
-              Poly.sub
-                (Poly.mul (Poly.derive num) den)
-                (Poly.mul num (Poly.derive den))
-            in
-            let criticals =
-              if Poly.is_zero deriv_num then []
-              else
-                Poly.isolate_roots
-                  ~tolerance:(Q.div_int (Q.sub b a) 4096)
-                  deriv_num ~lo:a ~hi:b
-                |> List.map (fun (l, h) -> Q.div_int (Q.add l h) 2)
-            in
-            let best_here =
-              List.fold_left
-                (fun acc pt -> Q.max acc (note_candidate pt))
-                (Q.max (note_candidate a) (note_candidate b))
-                criticals
-            in
-            { lo = a; hi = b; num; den; bound_holds; best_here }
-          end)
-        pieces
-    in
-    match !error with
-    | Some m -> Error m
-    | None ->
-        let certified =
-          List.for_all (fun iv -> iv.bound_holds) intervals
-          && Q.compare !best two_h <= 0
-        in
-        Ok { v; honest; intervals; gaps; certified; best_found = !best }
-  end
+      (* consistency: the closed form must agree exactly with the
+         mechanism at the piece's sample *)
+      if
+        not
+          (Q.equal
+             (Q.div (Poly.eval num p.sample) (Poly.eval den p.sample))
+             (mech p.sample))
+      then
+        error :=
+          Some
+            (Format.asprintf "symbolic utility mismatch at w1 = %a" Q.pp
+               p.sample);
+      let m = maximise_piece (num, den) p in
+      { lo = p.xlo; hi = p.xhi; num; den;
+        bound_holds = Qx.compare_q m.value two_h <= 0; best_here = m.value }
+    end
+  in
+  let intervals =
+    List.map interval (Breakpoints.exact_split_pieces ~ctx g ~v)
+  in
+  match !error with
+  | Some m -> Error m
+  | None ->
+      Ok
+        {
+          v;
+          honest;
+          intervals;
+          certified = List.for_all (fun iv -> iv.bound_holds) intervals;
+          best_found =
+            (match intervals with
+            | [] -> Qx.of_q honest
+            | iv :: rest ->
+                List.fold_left
+                  (fun acc iv -> Qx.max acc iv.best_here)
+                  iv.best_here rest);
+        }

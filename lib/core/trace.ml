@@ -16,10 +16,10 @@ type transition = {
 
 type t = { v : int; intervals : interval list; transitions : transition list }
 
-let compute ?ctx ?tolerance g ~v =
+let compute ?ctx g ~v =
   let ctx = Engine.Ctx.get ctx in
   let w = Graph.weight g v in
-  let events = Breakpoints.scan ~ctx ?tolerance g ~v in
+  let events = Breakpoints.scan ~ctx g ~v in
   (* interval boundaries: 0, each event bracket, w *)
   let boundaries =
     (Q.zero, Q.zero)

@@ -27,7 +27,7 @@ type transition = {
 type t = { v : int; intervals : interval list; transitions : transition list }
 
 val compute :
-  ?ctx:Engine.Ctx.t -> ?tolerance:Rational.t -> Graph.t -> v:int -> t
+  ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> t
 (** Breakpoint scan + interior sampling; solver choice and grid width
     come from [ctx] ({!Engine.Ctx.default} when absent). *)
 

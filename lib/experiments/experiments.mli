@@ -74,8 +74,9 @@ val run_e12_truthfulness : ?trials:int -> Format.formatter -> outcome
     splitting, not weight hiding. *)
 
 val run_e13_symbolic : ?trials:int -> Format.formatter -> outcome
-(** Symbolic (Sturm-certificate) proof of ζ_v ≤ 2 per instance, via
-    {!Symbolic.verify_theorem8}. *)
+(** Symbolic proof of ζ_v ≤ 2 per instance, via
+    {!Symbolic.verify_theorem8}: exact per-piece maxima over a gap-free
+    tiling of the split parameter. *)
 
 val run_e14_kway : ?trials:int -> Format.formatter -> outcome
 (** k-identity split vectors, beyond Theorem 8's two.  Three parts:

@@ -1,11 +1,11 @@
 (** Univariate polynomials over exact rationals, with Sturm-sequence root
-    counting and sign analysis on intervals.
+    counting and isolation on intervals.
 
-    This is the engine behind the symbolic Theorem 8 verifier: on a
-    structure-constant interval the attacker's utility is a rational
-    function [N(x)/D(x)] with small-degree polynomials, so
-    "[U(x) ≤ 2·U_v] on [a,b]" reduces to "[2·U_v·D − N ≥ 0] on [a,b]" —
-    a decidable question answered exactly here. *)
+    On a structure-constant piece of the split parameter the attacker's
+    utility is a rational function [N(x)/D(x)] of small degree; these
+    are the [N] and [D] of {!Symbolic}, and [isolate_roots] brackets the
+    critical points of the k-identity slices whose derivative numerator
+    exceeds degree 2. *)
 
 type t
 (** A polynomial; the zero polynomial has degree [-1]. *)
@@ -53,11 +53,7 @@ val divmod : t -> t -> t * t
 val derive : t -> t
 val eval : t -> Rational.t -> Rational.t
 
-(** {1 Roots and signs} *)
-
-val sturm_sequence : t -> t list
-(** The canonical Sturm chain of a non-zero polynomial (square-free part
-    is taken internally, so repeated roots are counted once). *)
+(** {1 Roots} *)
 
 val count_roots : t -> lo:Rational.t -> hi:Rational.t -> int
 (** Number of {e distinct} real roots in the half-open interval
@@ -70,9 +66,5 @@ val isolate_roots :
     in [(lo, hi]], refined by bisection until narrower than [tolerance]
     (default: [(hi − lo)/2^30]).  Brackets are [(l, h]] with the root in
     the half-open interval. *)
-
-val non_negative_on : t -> lo:Rational.t -> hi:Rational.t -> bool
-(** Exact decision of [∀ x ∈ [lo, hi]. t(x) ≥ 0]: endpoint signs plus a
-    sign sample between consecutive isolated roots. *)
 
 val pp : Format.formatter -> t -> unit

@@ -348,6 +348,19 @@ for sub in "sybil --ring 3,1,2,5 --agent 4" \
   fi
 done
 
+# 28. verify with a zero honest utility: exit 0, a report, never an
+#     uncaught Division_by_zero (0/0 reads as ratio 1, u/0 as infinity)
+for ring in 3,0,0 0,3,2; do
+  "$cli" verify --ring "$ring" -v 0 > "$tmpdir/out" 2> "$tmpdir/err"
+  expect "verify --ring $ring -v 0" 0 $?
+  if grep -q "Fatal error" "$tmpdir/err" \
+     || ! grep -q "best attack utility found" "$tmpdir/out"
+  then
+    echo "FAIL: verify --ring $ring -v 0 did not report cleanly" >&2
+    cat "$tmpdir/err" >&2; fails=$((fails + 1))
+  fi
+done
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

@@ -140,3 +140,33 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| 0xC0FFEE |])
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* ------------------------------------------------------------------ *)
+(* Grid reference for the exact split-parameter walk                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The decomposition of the split path [P_v(w1, w_v − w1)]. *)
+let split_decomposition g ~v w1 =
+  let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub (Graph.weight g v) w1) in
+  Decompose.compute s.Sybil.path
+
+(* Decompose the split path at [grid + 1] equispaced points of
+   [0, w_v] and return the cells [(lo, hi)] whose end decompositions
+   differ, in order.  Each such cell holds at least one change of the
+   split path's decomposition; a cell hiding an even number of changes
+   that restore the same decomposition is invisible here.  Shares no
+   code with [Breakpoints]' exact walk, so it serves as its reference. *)
+let split_grid_changes g ~v ~grid =
+  let w = Graph.weight g v in
+  let points =
+    List.init (grid + 1) (fun i ->
+        let x = Q.div_int (Q.mul_int w i) grid in
+        (x, split_decomposition g ~v x))
+  in
+  let rec cells = function
+    | (a, da) :: ((b, db) :: _ as rest) ->
+        if Decompose.same_structure da db then cells rest
+        else (a, b) :: cells rest
+    | _ -> []
+  in
+  if Q.is_zero w then [] else cells points

@@ -2,6 +2,8 @@
 
 module Q = Rational
 
+let decomposition_at g ~v ~x = Decompose.compute (Graph.with_weight g v x)
+
 let test_no_events_on_flat_instance () =
   (* A two-vertex path where v's class never changes... the decomposition
      does change as x crosses the other weight; instead use a vertex whose
@@ -54,10 +56,10 @@ let test_events_are_real_changes () =
       (* endpoints really produce those decompositions *)
       Alcotest.(check bool) "before matches" true
         (Decompose.same_structure ev.before
-           (Breakpoints.decomposition_at g ~v:0 ~x:ev.lo));
+           (decomposition_at g ~v:0 ~x:ev.lo));
       Alcotest.(check bool) "after matches" true
         (Decompose.same_structure ev.after
-           (Breakpoints.decomposition_at g ~v:0 ~x:ev.hi)))
+           (decomposition_at g ~v:0 ~x:ev.hi)))
     events
 
 let test_classify_merge_or_split () =
@@ -104,8 +106,8 @@ let props =
           (fun ((a : Q.t), (b : Q.t)) ->
             if Q.compare a b >= 0 then true
             else
-              let da = Breakpoints.decomposition_at g ~v ~x:a in
-              let db = Breakpoints.decomposition_at g ~v ~x:b in
+              let da = decomposition_at g ~v ~x:a in
+              let db = decomposition_at g ~v ~x:b in
               (* either this is an event bracket (allowed to differ) or a
                  flat stretch *)
               Decompose.same_structure da db
@@ -137,29 +139,41 @@ let continuity_prop =
           jump < 0.01 *. range)
         events)
 
-let split_scan_prop =
-  Helpers.qtest ~count:10 "split-parameter scan events are real"
+let split_grid_prop =
+  Helpers.qtest ~count:10 "split-parameter grid changes are exact events"
     (Helpers.ring_gen ~nmax:6 ~wmax:15 ()) (fun g ->
       let v = 0 in
-      let events = Breakpoints.scan_split ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v in
+      let events = Breakpoints.exact_split_events g ~v in
+      let pieces = Breakpoints.exact_split_pieces g ~v in
       let w = Graph.weight g v in
+      (* every grid cell whose end decompositions differ holds an exact
+         event, and every grid point's decomposition is the structure of
+         an exact piece containing it *)
       List.for_all
-        (fun (ev : Breakpoints.event) ->
-          let d_at w1 =
-            let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub w w1) in
-            Decompose.compute s.Sybil.path
-          in
-          (not (Decompose.same_structure ev.before ev.after))
-          && Decompose.same_structure ev.before (d_at ev.lo)
-          && Decompose.same_structure ev.after (d_at ev.hi))
-        events)
+        (fun (lo, hi) ->
+          List.exists
+            (fun (e : Breakpoints.exact_event) ->
+              Qx.compare_q e.at lo >= 0 && Qx.compare_q e.at hi <= 0)
+            events)
+        (Helpers.split_grid_changes g ~v ~grid:12)
+      && List.for_all
+           (fun i ->
+             let x = Q.div_int (Q.mul_int w i) 12 in
+             let d = Helpers.split_decomposition g ~v x in
+             List.exists
+               (fun (p : Breakpoints.exact_piece) ->
+                 Qx.compare_q p.xlo x <= 0
+                 && Qx.compare_q p.xhi x >= 0
+                 && Decompose.same_structure p.structure d)
+               pieces)
+           (List.init 13 Fun.id))
 
-(* Regression for the documented even-event blindness of the grid scan:
+(* Regression for the documented even-event blindness of a grid walk:
    on the ring (17, 17, 4) with v = 0, the split decomposition changes
    at w1 = 17/2 ± √17/2 — a conjugate pair strictly inside the grid-3
-   cell (17/3, 34/3) whose endpoints share a structure.  The scan sees
-   equal endpoints and reports nothing there (1 event overall); the
-   exact enumeration must report both hidden events (4 overall). *)
+   cell (17/3, 34/3) whose endpoints share a structure.  A grid walk
+   sees equal endpoints and reports nothing there (1 change overall);
+   the exact enumeration must report both hidden events (4 overall). *)
 let test_exact_sees_hidden_even_events () =
   let g = Generators.ring_of_ints [| 17; 17; 4 |] in
   let v = 0 in
@@ -172,14 +186,14 @@ let test_exact_sees_hidden_even_events () =
   in
   Alcotest.(check bool) "cell endpoints agree" true
     (Decompose.same_structure (d_at lo) (d_at hi));
-  (* the grid scan is blind inside that cell *)
-  let scan = Breakpoints.scan_split ~ctx:(Engine.Ctx.make ~grid:3 ()) g ~v in
-  Alcotest.(check int) "scan reports a single event" 1 (List.length scan);
+  (* a grid-3 walk is blind inside that cell *)
+  let cells = Helpers.split_grid_changes g ~v ~grid:3 in
+  Alcotest.(check int) "grid sees a single change" 1 (List.length cells);
   List.iter
-    (fun (ev : Breakpoints.event) ->
-      Alcotest.(check bool) "scan bracket outside the blind cell" true
-        (Q.compare ev.hi lo <= 0 || Q.compare ev.lo hi >= 0))
-    scan;
+    (fun (a, b) ->
+      Alcotest.(check bool) "grid change outside the blind cell" true
+        (Q.compare b lo <= 0 || Q.compare a hi >= 0))
+    cells;
   (* the exact path reports both cancelling changes: 17/2 ± √17/2 *)
   let events = Breakpoints.exact_split_events g ~v in
   Alcotest.(check int) "exact reports every event" 4 (List.length events);
@@ -217,5 +231,5 @@ let () =
           Alcotest.test_case "exact path sees hidden even events" `Quick
             test_exact_sees_hidden_even_events;
         ] );
-      ("properties", continuity_prop :: split_scan_prop :: props);
+      ("properties", continuity_prop :: split_grid_prop :: props);
     ]

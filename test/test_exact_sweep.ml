@@ -11,11 +11,12 @@
    - brute force on tiny n: no sampled split beats the certified
      optimum, and a rational optimum is reproduced bit-exactly by the
      mechanism;
-   - event accounting: every bisection bracket of
-     [Breakpoints.scan_split] contains an exact event, and the scan
-     never reports more events than the exact enumeration (a grid point
-     landing exactly on a rational boundary is matched by a degenerate
-     point piece, see the even-event regression in test_breakpoints). *)
+   - event accounting: every cell of a grid walk of the split
+     parameter ([Helpers.split_grid_changes]) whose end structures
+     differ contains an exact event, and the grid never sees more
+     changes than the exact enumeration has events (a grid point landing
+     exactly on a rational boundary is matched by a degenerate point
+     piece, see the even-event regression in test_breakpoints). *)
 
 module Q = Rational
 
@@ -123,7 +124,7 @@ let test_brute_force_tiny () =
   done
 
 (* -------------------------------------------------------------------- *)
-(* 3. Event accounting against the bisection scan                       *)
+(* 3. Event accounting against a grid walk                               *)
 (* -------------------------------------------------------------------- *)
 
 let test_event_accounting () =
@@ -131,29 +132,25 @@ let test_event_accounting () =
     let g, v = instance (1000 + trial) in
     if Q.sign (Graph.weight g v) > 0 then begin
       let events = Breakpoints.exact_split_events g ~v in
-      let scan =
-        Breakpoints.scan_split
-          ~ctx:(Engine.Ctx.make ~grid:(16 + (8 * (trial mod 3))) ())
-          g ~v
+      let cells =
+        Helpers.split_grid_changes g ~v ~grid:(16 + (8 * (trial mod 3)))
       in
       List.iter
-        (fun (ev : Breakpoints.event) ->
+        (fun (lo, hi) ->
           let covered =
             List.exists
               (fun (e : Breakpoints.exact_event) ->
-                Qx.compare_q e.Breakpoints.at ev.Breakpoints.lo >= 0
-                && Qx.compare_q e.Breakpoints.at ev.Breakpoints.hi <= 0)
+                Qx.compare_q e.Breakpoints.at lo >= 0
+                && Qx.compare_q e.Breakpoints.at hi <= 0)
               events
           in
           if not covered then
-            Alcotest.failf "scan bracket (%s, %s) has no exact event (trial %d)"
-              (Q.to_string ev.Breakpoints.lo)
-              (Q.to_string ev.Breakpoints.hi)
-              trial)
-        scan;
-      if List.length scan > List.length events then
-        Alcotest.failf "scan found %d events, exact only %d (trial %d)"
-          (List.length scan) (List.length events) trial
+            Alcotest.failf "grid cell (%s, %s) has no exact event (trial %d)"
+              (Q.to_string lo) (Q.to_string hi) trial)
+        cells;
+      if List.length cells > List.length events then
+        Alcotest.failf "grid saw %d changes, exact only %d events (trial %d)"
+          (List.length cells) (List.length events) trial
     end
   done
 
@@ -264,7 +261,7 @@ let () =
             test_dominance_battery;
           Alcotest.test_case "brute force on tiny n" `Quick
             test_brute_force_tiny;
-          Alcotest.test_case "event accounting vs scan_split" `Quick
+          Alcotest.test_case "event accounting vs grid walk" `Quick
             test_event_accounting;
           Alcotest.test_case "piece tiling and constancy" `Quick
             test_piece_tiling;

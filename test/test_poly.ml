@@ -69,32 +69,6 @@ let test_isolate_roots () =
         (Q.compare l target < 0 && Q.compare target h <= 0))
     brackets
 
-let test_non_negative () =
-  let check name expected poly lo hi =
-    Alcotest.(check bool) name expected
-      (Poly.non_negative_on poly ~lo:(q lo 1) ~hi:(q hi 1))
-  in
-  check "dips negative" false x2_3x_2 0 3;
-  check "nonneg right of roots" true x2_3x_2 2 5;
-  check "nonneg left of roots" true x2_3x_2 (-3) 1;
-  (* touching zero from above: (x-1)^2 *)
-  let sq = Poly.pow (Poly.linear (q (-1) 1) Q.one) 2 in
-  check "square touch" true sq 0 3;
-  check "negated square" false (Poly.neg sq) 0 3;
-  (* adjacent double dip: (x-1)^2 (x-2)^2 - tiny *)
-  let quartic =
-    Poly.sub (Poly.mul sq (Poly.pow (Poly.linear (q (-2) 1) Q.one) 2))
-      (Poly.constant (q 1 1000))
-  in
-  check "quartic dips" false quartic 0 3;
-  (* constant cases *)
-  check "positive constant" true (Poly.constant Q.one) 0 1;
-  check "negative constant" false (Poly.constant (q (-1) 1)) 0 1;
-  check "zero poly" true Poly.zero 0 1;
-  (* interval endpoints on roots: p >= 0 on [1,2]? between the roots the
-     parabola is negative *)
-  check "between roots, root endpoints" false x2_3x_2 1 2
-
 (* Property: divmod identity and evaluation homomorphisms. *)
 let poly_gen =
   QCheck2.Gen.(
@@ -131,18 +105,6 @@ let props =
         let distinct = List.sort_uniq compare roots in
         Poly.count_roots poly ~lo:(Q.of_int (-10)) ~hi:(Q.of_int 10)
         = List.length distinct);
-    Helpers.qtest ~count:100 "non_negative_on agrees with dense sampling"
-      QCheck2.Gen.(pair poly_gen (int_range 0 100))
-      (fun (poly, off) ->
-        let lo = Q.of_ints (off - 50) 10 and hi = Q.of_ints (off - 30) 10 in
-        let claimed = Poly.non_negative_on poly ~lo ~hi in
-        (* dense rational sampling can only refute, not confirm *)
-        let refuted = ref false in
-        for k = 0 to 64 do
-          let t = Q.add lo (Q.mul_int (Q.div_int (Q.sub hi lo) 64) k) in
-          if Q.sign (Poly.eval poly t) < 0 then refuted := true
-        done;
-        (not !refuted) || not claimed);
   ]
 
 let () =
@@ -155,7 +117,6 @@ let () =
           Alcotest.test_case "divmod" `Quick test_divmod;
           Alcotest.test_case "count_roots" `Quick test_count_roots;
           Alcotest.test_case "isolate_roots" `Quick test_isolate_roots;
-          Alcotest.test_case "non_negative_on" `Quick test_non_negative;
         ] );
       ("properties", props);
     ]

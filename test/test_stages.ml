@@ -91,6 +91,14 @@ let test_adjusting_utility_invariance () =
   Alcotest.(check bool) "same pair" true r.Adjusting.same_pair;
   Alcotest.(check bool) "utility constant" true r.Adjusting.utility_constant
 
+let test_adjusting_exact_boundary () =
+  (* On the ring 7,2,9,4,3 the split piece holding w1 = 2 is [5/3, 4]:
+     the critical offset is exactly 4 − 2. *)
+  let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
+  let r = Adjusting.find_critical g ~v:0 ~w1:Q.two ~z_max:(Q.of_int 3) in
+  Alcotest.(check bool) "z = 2 exactly" true (Qx.equal r.Adjusting.z (Qx.of_int 2));
+  Alcotest.(check bool) "changed below z_max" true r.Adjusting.changed
+
 let props =
   [
     Helpers.qtest ~count:25 "Lemma 14/20: classification succeeds"
@@ -121,9 +129,30 @@ let props =
       (Helpers.ring_gen ~nmax:6 ~wmax:10 ()) (fun g ->
         let w10, w20 = Sybil.initial_split g ~v:0 in
         let z_max = Q.div_int w20 2 in
-        let r = Adjusting.find_critical ~ctx:(Engine.Ctx.make ~grid:8 ()) g ~v:0 ~w1:w10 ~z_max in
+        let r = Adjusting.find_critical g ~v:0 ~w1:w10 ~z_max in
         (* meaningful only when both identities share a pair at z = 0 *)
         (not r.Adjusting.same_pair) || r.Adjusting.utility_constant);
+    Helpers.qtest ~count:15 "adjusting: z is the exact end of the initial structure"
+      (Helpers.ring_gen ~nmax:6 ~wmax:12 ()) (fun g ->
+        let w = Graph.weight g 0 in
+        let w10, w20 = Sybil.initial_split g ~v:0 in
+        let r = Adjusting.find_critical g ~v:0 ~w1:w10 ~z_max:w20 in
+        let d0 = Helpers.split_decomposition g ~v:0 w10 in
+        let x1 = Qx.of_q w10 in
+        let edge = Qx.add x1 r.Adjusting.z in
+        let at x = Helpers.split_decomposition g ~v:0 x in
+        (* the initial structure holds strictly between w1 and w1 + z ... *)
+        (Qx.sign r.Adjusting.z = 0
+        || Decompose.same_structure d0 (at (Qx.rational_between x1 edge)))
+        (* ... and is gone just past w1 + z, unless the piece reaches w_v *)
+        && (Qx.compare_q edge w = 0
+           ||
+           let gap = Qx.sub (Qx.of_q w) edge in
+           let past =
+             Qx.rational_between edge
+               (Qx.add edge (Qx.div_q gap (Q.of_int (1 lsl 30))))
+           in
+           not (Decompose.same_structure d0 (at past))));
   ]
 
 let () =
@@ -146,6 +175,7 @@ let () =
           Alcotest.test_case "trivial range" `Quick test_adjusting_trivial_range;
           Alcotest.test_case "validation" `Quick test_adjusting_validation;
           Alcotest.test_case "utility invariance" `Quick test_adjusting_utility_invariance;
+          Alcotest.test_case "exact boundary" `Quick test_adjusting_exact_boundary;
         ] );
       ("properties", props);
     ]
