@@ -118,12 +118,12 @@ let solver_arg =
 let grid_arg =
   Arg.(value & opt (some int) None
        & info [ "grid" ] ~docv:"N"
-         ~doc:"Search grid resolution (default 32; hunt uses 12).")
+         ~doc:"Search grid resolution (default 32; hunt uses 12).  $(docv)                < 2 is a spec error (exit 4).")
 
 let refine_arg =
   Arg.(value & opt (some int) None
        & info [ "refine" ] ~docv:"N"
-         ~doc:"Zoom refinement rounds (default 3; hunt uses 2).")
+         ~doc:"Zoom refinement rounds (default 3; hunt uses 2).  A                negative $(docv) is a spec error (exit 4).")
 
 let sweep_arg =
   Arg.(value & opt string "grid"
@@ -192,6 +192,14 @@ let identities_of_flag k =
   end;
   k
 
+(* The grid sweep needs two points per window and a finite zoom; a
+   value below [least] is a spec error like an unknown name. *)
+let at_least ~flag ~least ~why = function
+  | Some x when x < least ->
+      Format.eprintf "ringshare: --%s %d: %s@." flag x why;
+      exit 4
+  | x -> x
+
 (* [grid_default]/[refine_default] let a subcommand keep a historical
    resolution (hunt: 12/2) while still honouring explicit flags *)
 let ctx_term_with ?grid_default ?refine_default () =
@@ -201,12 +209,18 @@ let ctx_term_with ?grid_default ?refine_default () =
     let sweep = sweep_of_flag sweep in
     let identities = identities_of_flag identities in
     let grid =
-      match grid with
+      match
+        at_least ~flag:"grid" ~least:2
+          ~why:"the search grid needs at least 2 points" grid
+      with
       | Some g -> g
       | None -> Option.value grid_default ~default:Engine.Ctx.default_grid
     in
     let refine =
-      match refine with
+      match
+        at_least ~flag:"refine" ~least:0
+          ~why:"the number of zoom rounds cannot be negative" refine
+      with
       | Some r -> r
       | None -> Option.value refine_default ~default:Engine.Ctx.default_refine
     in

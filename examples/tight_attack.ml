@@ -34,11 +34,12 @@ let () =
      identity 2.  The crumb captures its neighbour's whole weight. *)
   let eps = Q.of_ints 1 8 in
   let w1 = Q.sub (Graph.weight g v) eps in
-  let s = Sybil.split g ~v ~w1 ~w2:eps in
-  let dp = Decompose.compute s.path in
+  let s = Sybil.split g { Sybil.v; weights = [| w1; eps |] } in
+  let dp = Decompose.compute s.graph in
   Format.printf "@.attack split (w1, w2) = (%s, %s);@.path decomposition:@.%a@."
     (Q.to_string w1) (Q.to_string eps) Decompose.pp dp;
-  let u1, u2 = Sybil.utilities_of_split s in
+  let u1 = Utility.of_vertex s.graph dp s.ids.(0)
+  and u2 = Utility.of_vertex s.graph dp s.ids.(1) in
   Format.printf "identity utilities: U_v1 = %s, U_v2 = %s, total = %s@."
     (Q.to_string u1) (Q.to_string u2)
     (Q.to_string (Q.add u1 u2));

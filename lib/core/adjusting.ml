@@ -13,11 +13,12 @@ let find_critical ?ctx g ~v ~w1 ~z_max =
   let w2 = Q.sub w w1 in
   if Q.compare z_max w2 > 0 then
     invalid_arg "Adjusting.find_critical: z_max exceeds w2";
-  let s0 = Sybil.split g ~v ~w1 ~w2 in
-  let v1 = s0.Sybil.v1 and v2 = s0.Sybil.v2 in
-  let d0 = Decompose.compute ~ctx s0.Sybil.path in
+  let s0 = Sybil.split g { Sybil.v; weights = [| w1; w2 |] } in
+  let path = s0.Sybil.graph in
+  let v1 = s0.Sybil.ids.(0) and v2 = s0.Sybil.ids.(1) in
+  let d0 = Decompose.compute ~ctx path in
   let u0 =
-    Q.add (Utility.of_vertex s0.path d0 v1) (Utility.of_vertex s0.path d0 v2)
+    Q.add (Utility.of_vertex path d0 v1) (Utility.of_vertex path d0 v2)
   in
   let same_pair =
     (* The technique applies when both identities sit on the same side of

@@ -434,19 +434,6 @@ let exact_pieces_core ~budget ~dctx ~cost ~path_at ~v1 ~v2 ~total:w =
     with_last pieces
   end
 
-let exact_split_pieces ?ctx g ~v =
-  let ctx = Engine.Ctx.arm (Engine.Ctx.get ctx) in
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  if Q.sign w <= 0 then []
-  else begin
-    let n = Graph.n g in
-    let path_at x = (Sybil.split_free g ~v ~w1:x ~w2:(Q.sub w x)).Sybil.path in
-    exact_pieces_core ~budget ~dctx ~cost:(1 + n) ~path_at ~v1:v ~v2:n
-      ~total:w
-  end
-
 let exact_slice_pieces ?ctx base ~v1 ~v2 ~total =
   let ctx = Engine.Ctx.arm (Engine.Ctx.get ctx) in
   let budget = Engine.Ctx.budget_or_unlimited ctx in
@@ -470,6 +457,11 @@ let exact_slice_pieces ?ctx base ~v1 ~v2 ~total =
     Graph.with_weight (Graph.with_weight base v1 x) v2 (Q.sub total x)
   in
   exact_pieces_core ~budget ~dctx ~cost:(1 + n) ~path_at ~v1 ~v2 ~total
+
+let exact_split_pieces ?ctx g ~v =
+  let w = Graph.weight g v in
+  let opened = Sybil.split g { Sybil.v; weights = [| w; Q.zero |] } in
+  exact_slice_pieces ?ctx opened.Sybil.graph ~v1:v ~v2:(Graph.n g) ~total:w
 
 let exact_split_events ?ctx g ~v =
   let pieces = exact_split_pieces ?ctx g ~v in

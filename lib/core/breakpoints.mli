@@ -77,7 +77,9 @@ val exact_split_pieces :
     degenerate piece with [xlo = xhi].  (At an irrational boundary the
     at-point decomposition is not materialised: it cannot be sampled in
     ℚ — and, by the same token, no rational scan can observe it.)
-    Budget is ticked once per sampled point (cost [1 + n]);
+    It is {!exact_slice_pieces} on the opened ring
+    ({!Sybil.split} of [[|w_v; 0|]]) with [(v1, v2) = (v, n)], so budget
+    is ticked once per sampled point at the opened ring's cost [2 + n];
     decompositions use [ctx]'s solver and cache.  Empty when
     [w_v = 0]. *)
 
@@ -91,7 +93,7 @@ val exact_slice_pieces :
     [exact_split_pieces g ~v] is the instantiation where the graph is
     the opened ring and [(v1, v2) = (v, n)]; the k-identity coordinate
     descent ([Incentive.best_attack] with [ctx.identities ≥ 3]) uses
-    this directly on the materialised {!Sybil.ksplit} path, pairing one
+    this directly on the materialised {!Sybil.split} path, pairing one
     free identity with the last.
     @raise Invalid_argument when [v1]/[v2] are out of range or equal,
     [total < 0], some vertex has degree > 2, or a component is a cycle

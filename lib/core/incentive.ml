@@ -52,17 +52,10 @@ let c_exact_criticals =
   Obs.Counter.make ~subsystem:"incentive" "exact_criticals"
 
 let c_exact_evals = Obs.Counter.make ~subsystem:"incentive" "exact_evals"
-let c_kway_points = Obs.Counter.make ~subsystem:"incentive" "kway_points"
 let c_kway_rounds = Obs.Counter.make ~subsystem:"incentive" "kway_rounds"
 
 let c_kway_exact_events =
   Obs.Counter.make ~subsystem:"incentive" "kway_exact_events"
-
-let c_kway_lookups =
-  Obs.Counter.make ~subsystem:"incentive" "kway_memo_lookups"
-
-let c_kway_hits = Obs.Counter.make ~subsystem:"incentive" "kway_memo_hits"
-let c_kway_misses = Obs.Counter.make ~subsystem:"incentive" "kway_memo_misses"
 
 (* Explicit [?budget] wins over the context's. *)
 let with_budget_arg budget ctx =
@@ -128,21 +121,33 @@ let with_search ~span ?calls ?(local_cache = false) ?ctx ?budget ?honest g
       honest;
     }
 
-(* The per-search memo, generic in its key: the split weight [w1] at two
-   identities, the whole weight vector above.  Each distinct key is
+(* The per-search memo of [v]'s split vectors.  Each distinct vector is
    evaluated — and budget-charged [cost] — exactly once per search.
-   Callers pass deduplicated batches, so each path's counter triple
-   satisfies hits + misses = lookups by construction. *)
-module Memo (K : Hashtbl.HashedType) = struct
-  module Tbl = Hashtbl.Make (K)
+   Callers pass deduplicated batches, so hits + misses = lookups by
+   construction.  Rationals are kept normalised, so Q.equal / Q.hash
+   (pointwise on vectors) are semantic. *)
+module Memo = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = Q.t array
 
-  type t = { tbl : Q.t Tbl.t; batch : K.t list -> unit }
+    let equal a b =
+      Array.length a = Array.length b
+      &&
+      let rec go i =
+        i = Array.length a || (Q.equal a.(i) b.(i) && go (i + 1))
+      in
+      go 0
 
-  let create s ~counters:(c_lookups, c_hits, c_misses) utility =
+    let hash a = Array.fold_left (fun acc x -> (acc * 31) + Q.hash x) 17 a
+  end)
+
+  type t = { tbl : Q.t Tbl.t; batch : Q.t array list -> unit }
+
+  let create s g ~v =
     let tbl = Tbl.create 64 in
-    let eval key =
+    let eval weights =
       Budget.tick ~cost:s.cost s.budget;
-      utility key
+      Sybil.utility ~ctx:s.dctx g { Sybil.v; weights }
     in
     let domains = s.ctx.Engine.Ctx.domains in
     let batch keys =
@@ -172,27 +177,6 @@ module Memo (K : Hashtbl.HashedType) = struct
 
   let size m = Tbl.length m.tbl
 end
-
-(* Rationals are kept normalised, so Q.equal / Q.hash (pointwise on
-   vectors) are semantic. *)
-module W1_memo = Memo (struct
-  type t = Q.t
-
-  let equal = Q.equal
-  let hash = Q.hash
-end)
-
-module Vec_memo = Memo (struct
-  type t = Q.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i = Array.length a || (Q.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun acc x -> (acc * 31) + Q.hash x) 17 a
-end)
 
 let vec_compare a b =
   let rec go i =
@@ -235,61 +219,79 @@ let dyadic_bracket x =
   (lo, Q.add lo (Q.of_ints 1 witness_denom))
 
 (* ------------------------------------------------------------------ *)
-(* Two identities, grid sweep                                          *)
+(* Grid sweep over the (k−1)-simplex                                   *)
 (* ------------------------------------------------------------------ *)
 
-let split_grid ?ctx ?budget ?honest g ~v =
-  let { Engine.Ctx.grid; refine; _ } = Engine.Ctx.get ctx in
-  if grid < 2 then invalid_arg "Incentive.best_split: grid too small";
+(* Tick the sweep counters for one batch of lattice points. *)
+let count_points s points deduped =
+  if Engine.Ctx.obs_enabled s.ctx then begin
+    Obs.Counter.add c_sweep_points (List.length points);
+    Obs.Counter.add c_sweep_deduped (List.length deduped)
+  end
+
+(* The free coordinates 0..k−2 each sweep a [grid]-point window
+   ([Sybil.lattice]), and each zoom round shrinks every free
+   coordinate's window ±step around the best vector.  At two identities
+   the lattice is the [grid]-point subdivision of [w1]'s window.  The
+   seed is the one branch on [k]: Lemma 9's initial split, whose
+   utility is the honest one (no evaluation), at two identities; the
+   evaluated uniform vector above. *)
+let grid_sweep ?ctx ?budget ?honest g ~v =
+  let { Engine.Ctx.grid; refine; identities = k; _ } = Engine.Ctx.get ctx in
+  if grid < 2 || refine < 0 then
+    invalid_arg "Incentive.best_split: grid < 2 or refine < 0";
   with_search ~span:"best_split" ~calls:c_split_calls ?ctx ?budget ?honest g
     ~v
   @@ fun s ->
   let w = s.w in
   (* Zoom rounds overlap (the previous best is the centre of the next
-     window) and clamped extras collide with grid points; the memo
+     window) and the seed collides with lattice points; the memo
      decomposes each of them once. *)
-  let memo =
-    W1_memo.create s ~counters:(c_lookups, c_hits, c_misses) (fun w1 ->
-        Sybil.split_utility ~ctx:s.dctx g ~v ~w1)
-  in
-  let sweep lo hi extras acc =
-    let step = Q.div_int (Q.sub hi lo) grid in
-    let points =
-      if Q.is_zero step then [ lo ]
-      else
-        extras
-        @ List.init (grid + 1) (fun i -> Q.add lo (Q.mul_int step i))
-    in
-    let points = List.map (clamp Q.zero w) points in
+  let memo = Memo.create s g ~v in
+  let sweep windows extras acc =
+    let points = extras @ Sybil.lattice ~w ~grid windows in
     (* Evaluate (and budget-charge) each distinct point once, but fold in
-       the original extras-first order: with the strict [>] comparison the
-       first point of a utility tie wins, so this keeps the reported [w1]
-       identical to the pre-memoisation search. *)
-    let deduped = List.sort_uniq Q.compare points in
-    if Engine.Ctx.obs_enabled s.ctx then begin
-      Obs.Counter.add c_sweep_points (List.length points);
-      Obs.Counter.add c_sweep_deduped (List.length deduped)
-    end;
+       the extras-first order: with the strict [>] comparison the first
+       point of a utility tie wins. *)
+    let deduped = List.sort_uniq vec_compare points in
+    count_points s points deduped;
     memo.batch deduped;
-    first_best (W1_memo.get memo) points acc
+    first_best (Memo.get memo) points acc
   in
-  let w10, _ = Sybil.initial_split ~ctx:s.dctx g ~v in
-  let rec zoom lo hi extras rounds (bw, bu) =
-    let bw, bu = sweep lo hi extras (bw, bu) in
-    if rounds = 0 then (bw, bu)
+  let rec zoom windows extras rounds (bv, bu) =
+    let bv, bu = sweep windows extras (bv, bu) in
+    if rounds = 0 then (bv, bu)
     else
-      let step = Q.div_int (Q.sub hi lo) grid in
-      if Q.is_zero step then (bw, bu)
+      let steps =
+        Array.map (fun (lo, hi) -> Q.div_int (Q.sub hi lo) grid) windows
+      in
+      if Array.for_all Q.is_zero steps then (bv, bu)
       else
-        zoom
-          (clamp Q.zero w (Q.sub bw step))
-          (clamp Q.zero w (Q.add bw step))
-          [] (rounds - 1) (bw, bu)
+        let windows =
+          Array.mapi
+            (fun i step ->
+              ( clamp Q.zero w (Q.sub bv.(i) step),
+                clamp Q.zero w (Q.add bv.(i) step) ))
+            steps
+        in
+        zoom windows [] (rounds - 1) (bv, bu)
   in
-  let bw, bu = zoom Q.zero w [ w10 ] refine (w10, s.honest) in
+  let seed =
+    if k = 2 then
+      let w10, _ = Sybil.initial_split ~ctx:s.dctx g ~v in
+      (pair w w10, s.honest)
+    else begin
+      let uniform = Array.make k (Q.div_int w k) in
+      memo.batch [ uniform ];
+      (uniform, Memo.get memo uniform)
+    end
+  in
+  let bv, bu =
+    zoom (Array.make (k - 1) (Q.zero, w)) [ fst seed ] refine seed
+  in
   if Engine.Ctx.obs_enabled s.ctx then
-    Obs.Gauge.set_max g_cache (W1_memo.size memo);
-  attack_of ~v ~weights:(pair w bw) ~utility:bu ~honest:s.honest
+    Obs.Gauge.set_max g_cache (Memo.size memo);
+  attack_of ~v ~weights:bv ~utility:bu ~honest:s.honest
 
 (* ------------------------------------------------------------------ *)
 (* Two identities, exact event-driven sweep (DESIGN §16)               *)
@@ -391,92 +393,6 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
   end
 
 (* ------------------------------------------------------------------ *)
-(* k ≥ 3 identities, grid sweep over the (k−1)-simplex                 *)
-(* ------------------------------------------------------------------ *)
-
-let kway_counters = (c_kway_lookups, c_kway_hits, c_kway_misses)
-
-(* The weight vectors of [k] entries summing to [w] whose free
-   coordinates 0..k−2 lie on their windows' [grid]-point lattices (the
-   last coordinate absorbs the remainder; lattice points overshooting
-   the simplex are dropped).  The rightmost free coordinate varies
-   fastest, so the enumeration order — and with it the first-of-a-tie
-   winner — is deterministic. *)
-let simplex_points ~w ~grid windows =
-  let axes =
-    Array.map
-      (fun (lo, hi) ->
-        let step = Q.div_int (Q.sub hi lo) grid in
-        if Q.is_zero step then [ lo ]
-        else
-          List.init (grid + 1) (fun i ->
-              clamp Q.zero w (Q.add lo (Q.mul_int step i))))
-      windows
-  in
-  let rec cart i =
-    if i = Array.length axes then [ [] ]
-    else
-      let rest = cart (i + 1) in
-      List.concat_map (fun x -> List.map (fun tl -> x :: tl) rest) axes.(i)
-  in
-  List.filter_map
-    (fun free ->
-      let sum = List.fold_left Q.add Q.zero free in
-      if Q.compare sum w > 0 then None
-      else Some (Array.of_list (free @ [ Q.sub w sum ])))
-    (cart 0)
-
-(* The free coordinates 0..k−2 each sweep a [grid]-point window (the
-   last coordinate absorbs the remainder; lattice points overshooting
-   the simplex are dropped), and each zoom round shrinks every free
-   coordinate's window ±step around the best vector — the direct
-   generalisation of [split_grid]'s per-coordinate grid-with-zoom. *)
-let splitk_grid ?ctx ?budget ?honest g ~v =
-  let { Engine.Ctx.grid; refine; identities = k; _ } = Engine.Ctx.get ctx in
-  if grid < 2 then invalid_arg "Incentive.best_splitk: grid too small";
-  with_search ~span:"best_splitk" ?ctx ?budget ?honest g ~v @@ fun s ->
-  let w = s.w in
-  let memo =
-    Vec_memo.create s ~counters:kway_counters (fun weights ->
-        Sybil.splitk_utility ~ctx:s.dctx g { Sybil.v; weights })
-  in
-  let sweep windows extras acc =
-    let points = extras @ simplex_points ~w ~grid windows in
-    let deduped = List.sort_uniq vec_compare points in
-    if Engine.Ctx.obs_enabled s.ctx then
-      Obs.Counter.add c_kway_points (List.length points);
-    memo.batch deduped;
-    first_best (Vec_memo.get memo) points acc
-  in
-  let uniform = Array.make k (Q.div_int w k) in
-  let rec zoom windows extras rounds (bv, bu) =
-    let bv, bu = sweep windows extras (bv, bu) in
-    if rounds = 0 then (bv, bu)
-    else
-      let steps =
-        Array.map (fun (lo, hi) -> Q.div_int (Q.sub hi lo) grid) windows
-      in
-      if Array.for_all Q.is_zero steps then (bv, bu)
-      else
-        let windows =
-          Array.init (k - 1) (fun i ->
-              ( clamp Q.zero w (Q.sub bv.(i) steps.(i)),
-                clamp Q.zero w (Q.add bv.(i) steps.(i)) ))
-        in
-        zoom windows [] (rounds - 1) (bv, bu)
-  in
-  (* seed: the uniform vector's real mechanism value, so the starting
-     accumulator never reports an unevaluated point *)
-  memo.batch [ uniform ];
-  let windows0 = Array.make (k - 1) (Q.zero, w) in
-  let bv, bu =
-    zoom windows0 [ uniform ] refine (uniform, Vec_memo.get memo uniform)
-  in
-  if Engine.Ctx.obs_enabled s.ctx then
-    Obs.Gauge.set_max g_cache (Vec_memo.size memo);
-  attack_of ~v ~weights:bv ~utility:bu ~honest:s.honest
-
-(* ------------------------------------------------------------------ *)
 (* k ≥ 3 identities, exact slice-wise coordinate descent               *)
 (* ------------------------------------------------------------------ *)
 
@@ -503,11 +419,8 @@ let splitk_exact ?ctx ?budget ?honest g ~v =
     ?honest g ~v
   @@ fun s ->
   let w = s.w in
-  let memo =
-    Vec_memo.create s ~counters:kway_counters (fun weights ->
-        Sybil.splitk_utility ~ctx:s.dctx g { Sybil.v; weights })
-  in
-  let get = Vec_memo.get memo in
+  let memo = Memo.create s g ~v in
+  let get = Memo.get memo in
   let finish ws u = attack_of ~v ~weights:ws ~utility:u ~honest:s.honest in
   if Q.is_zero w then begin
     let ws = Array.make k Q.zero in
@@ -521,11 +434,11 @@ let splitk_exact ?ctx ?budget ?honest g ~v =
        The uniform vector goes first — on a lattice tie it wins. *)
     let seeds =
       Array.make k (Q.div_int w k)
-      :: simplex_points ~w ~grid:4 (Array.make (k - 1) (Q.zero, w))
+      :: Sybil.lattice ~w ~grid:4 (Array.make (k - 1) (Q.zero, w))
     in
-    memo.batch (List.sort_uniq vec_compare seeds);
-    if Engine.Ctx.obs_enabled s.ctx then
-      Obs.Counter.add c_kway_points (List.length seeds);
+    let deduped = List.sort_uniq vec_compare seeds in
+    count_points s seeds deduped;
+    memo.batch deduped;
     let x0, u0 =
       first_best get (List.tl seeds) (List.hd seeds, get (List.hd seeds))
     in
@@ -539,10 +452,10 @@ let splitk_exact ?ctx ?budget ?honest g ~v =
       for i = 0 to k - 2 do
         let total = Q.add (!x).(i) (!x).(k - 1) in
         if Q.sign total > 0 then begin
-          let ks = Sybil.splitk g { Sybil.v; weights = !x } in
+          let ks = Sybil.split g { Sybil.v; weights = !x } in
           let v1 = ks.Sybil.ids.(i) and v2 = ks.Sybil.ids.(k - 1) in
           let pieces =
-            Breakpoints.exact_slice_pieces ~ctx:s.ctx ks.Sybil.kpath ~v1 ~v2
+            Breakpoints.exact_slice_pieces ~ctx:s.ctx ks.Sybil.graph ~v1 ~v2
               ~total
           in
           if Engine.Ctx.obs_enabled s.ctx then
@@ -568,7 +481,7 @@ let splitk_exact ?ctx ?budget ?honest g ~v =
               if not (Qx.equal p.Breakpoints.xlo p.Breakpoints.xhi) then begin
                 let e =
                   Symbolic.derivative_numerator
-                    (Symbolic.slice_utility_function ks.Sybil.kpath ~v1 ~v2
+                    (Symbolic.slice_utility_function ks.Sybil.graph ~v1 ~v2
                        ~total ~structure:p.Breakpoints.structure
                        ~ids:ks.Sybil.ids)
                 in
@@ -644,11 +557,10 @@ let splitk_exact ?ctx ?budget ?honest g ~v =
 let search_vertex ?ctx ?budget ?honest g ~v =
   let c = Engine.Ctx.get ctx in
   match (c.Engine.Ctx.identities, c.Engine.Ctx.sweep) with
-  | 2, Engine.Grid -> (split_grid ?ctx ?budget ?honest g ~v, None)
+  | _, Engine.Grid -> (grid_sweep ?ctx ?budget ?honest g ~v, None)
   | 2, Engine.Exact ->
       let e = best_split_exact ?ctx ?budget ?honest g ~v in
       (e.witness, Some e)
-  | _, Engine.Grid -> (splitk_grid ?ctx ?budget ?honest g ~v, None)
   | _, Engine.Exact -> (splitk_exact ?ctx ?budget ?honest g ~v, None)
 
 let best_split ?ctx ?budget ?honest g ~v =

@@ -3,7 +3,7 @@
 
     [ζ_v = max over splits of U'_v / U_v], and [ζ = max_v ζ_v].  One
     vocabulary serves every split: an {!attack} carries the attacker's
-    identity weight vector ({!Sybil.splits}), of length
+    identity weight vector ({!Sybil.vector}), of length
     [ctx.identities] — the paper's pairwise split at the default 2,
     Sybil strategies with more identities above.  {!best_split}
     searches one vertex and {!best_attack} all of them; the context
@@ -11,9 +11,10 @@
 
     Two sweep policies live behind {!Engine.Ctx.t}'s [sweep] field.
     {e Grid} is an exact-arithmetic grid sweep with recursive zoom
-    refinement — at [k ≥ 3] over the [(k−1)]-simplex, one window per
-    free coordinate — so every reported value is an exact {e certified
-    lower bound} of the supremum.  {e Exact} at two identities walks the
+    refinement over the [(k−1)]-simplex ({!Sybil.lattice}), one window
+    per free coordinate — [w1]'s window at two identities — so every
+    reported value is an exact {e certified lower bound} of the
+    supremum.  {e Exact} at two identities walks the
     decomposition's breakpoints ({!Breakpoints.exact_split_pieces}) and
     maximises the closed-form utility of each piece, returning the
     supremum itself as a quadratic surd ({!Qx.t}) with no resolution
@@ -26,12 +27,12 @@
     Each search memoises its evaluations per distinct split, so every
     split is decomposed — and budget-ticked at cost [1 + n] — once.
     Counters (subsystem ["incentive"]): [memo_lookups] = [memo_hits] +
-    [memo_misses] and [sweep_points]/[sweep_points_deduped] for the
-    two-identity grid; [kway_memo_lookups] = [kway_memo_hits] +
-    [kway_memo_misses], [kway_points], [kway_rounds] and
-    [kway_exact_events] above; [exact_sweep_calls], [exact_pieces],
+    [memo_misses] for the split-vector memo and
+    [sweep_points]/[sweep_points_deduped] for the lattice points, at
+    every identity count; [kway_rounds] and [kway_exact_events] for the
+    slice-wise descent; [exact_sweep_calls], [exact_pieces],
     [exact_events], [exact_criticals] and [exact_evals] for the
-    certified sweep. *)
+    certified two-identity sweep. *)
 
 type attack = {
   v : int;  (** the manipulative agent *)
@@ -66,11 +67,12 @@ val best_split :
     utility [U_v] (e.g. shared across vertices by {!best_attack}); when
     absent it is computed from the graph.
 
-    Under [Grid] the first free weight sweeps a [ctx.grid]-point
-    subdivision of [[0, w_v]] (at two identities plus the honest point
-    [w₁⁰], above that starting from the uniform vector [w_v / k]), then
-    zooms [ctx.refine] times around the best point; the first point of a
-    utility tie in enumeration order wins.  [ctx.domains > 1] evaluates
+    Under [Grid] each free weight sweeps a [ctx.grid]-point subdivision
+    of [[0, w_v]] ({!Sybil.lattice}), seeded at two identities by the
+    honest point [w₁⁰] (Lemma 9: its utility is [U_v]) and above that by
+    the uniform vector [w_v / k]; then it zooms [ctx.refine] times
+    around the best point.  The first point of a utility tie in
+    enumeration order wins.  [ctx.domains > 1] evaluates
     each round's fresh points in parallel; the result is identical to
     the sequential search.  Giving the context an {!Engine.Cache} shares
     the decompositions themselves across searches.
@@ -78,7 +80,8 @@ val best_split :
     Under [Exact] at two identities this returns the rational witness of
     {!best_split_exact}; at [k ≥ 3], the end point of the slice-wise
     coordinate descent.  The grid/refine knobs are ignored.
-    @raise Invalid_argument under [Grid] when [ctx.grid < 2]. *)
+    @raise Invalid_argument under [Grid] when [ctx.grid < 2] or
+    [ctx.refine < 0]. *)
 
 val best_split_exact :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> ?honest:Rational.t -> Graph.t ->

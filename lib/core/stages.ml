@@ -20,10 +20,11 @@ let side_of d v =
 
 let classify_initial ?ctx g ~v =
   let w10, w20 = Sybil.initial_split ?ctx g ~v in
-  let s = Sybil.split_free g ~v ~w1:w10 ~w2:w20 in
-  let d = Decompose.compute ?ctx s.path in
-  let side1 = side_of d s.v1 and side2 = side_of d s.v2 in
-  let a1 = Decompose.alpha_of d s.v1 and a2 = Decompose.alpha_of d s.v2 in
+  let s = Sybil.split_free g { Sybil.v; weights = [| w10; w20 |] } in
+  let d = Decompose.compute ?ctx s.graph in
+  let v1 = s.ids.(0) and v2 = s.ids.(1) in
+  let side1 = side_of d v1 and side2 = side_of d v2 in
+  let a1 = Decompose.alpha_of d v1 and a2 = Decompose.alpha_of d v2 in
   let single_pair = List.length d = 1 in
   let ring_d = Decompose.compute ?ctx g in
   let ring_side = side_of ring_d v in
@@ -66,12 +67,13 @@ let analyse ?ctx g ~v ~w1_star =
   let grow_is_v1 = Q.compare w1_star w10 >= 0 in
   let eval (wg, ws) =
     let w1, w2 = if grow_is_v1 then (wg, ws) else (ws, wg) in
-    let s = Sybil.split_free g ~v ~w1 ~w2 in
-    let d = Decompose.compute ?ctx s.path in
-    let u1 = Utility.of_vertex s.path d s.v1
-    and u2 = Utility.of_vertex s.path d s.v2 in
+    let s = Sybil.split_free g { Sybil.v; weights = [| w1; w2 |] } in
+    let d = Decompose.compute ?ctx s.graph in
+    let v1 = s.ids.(0) and v2 = s.ids.(1) in
+    let u1 = Utility.of_vertex s.graph d v1
+    and u2 = Utility.of_vertex s.graph d v2 in
     let ug, us = if grow_is_v1 then (u1, u2) else (u2, u1) in
-    let grow_id = if grow_is_v1 then s.v1 else s.v2 in
+    let grow_id = if grow_is_v1 then v1 else v2 in
     (ug, us, side_of d grow_id)
   in
   let g0, s0 = if grow_is_v1 then (w10, w20) else (w20, w10) in

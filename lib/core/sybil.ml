@@ -1,22 +1,20 @@
 module Q = Rational
 
-type split = { path : Graph.t; v1 : int; v2 : int }
-type splits = { v : int; weights : Q.t array }
-type ksplit = { kpath : Graph.t; ids : int array }
+type vector = { v : int; weights : Q.t array }
+type split = { graph : Graph.t; ids : int array }
 
 let ring_neighbors g v =
   match Graph.neighbors g v with
   | [| a; b |] -> (a, b)
   | _ -> invalid_arg "Sybil: vertex does not have degree 2"
 
-let splitk_free g { v; weights = ws } =
-  if not (Graph.is_ring g) then invalid_arg "Sybil.splitk: not a ring";
+let split_free g { v; weights = ws } =
+  if not (Graph.is_ring g) then invalid_arg "Sybil.split: not a ring";
   let k = Array.length ws in
-  if k < 2 then invalid_arg "Sybil.splitk: fewer than 2 identities";
+  if k < 2 then invalid_arg "Sybil.split: fewer than 2 identities";
   Array.iter
     (fun w ->
-      if Q.sign w < 0 then
-        invalid_arg "Sybil.splitk: negative identity weight")
+      if Q.sign w < 0 then invalid_arg "Sybil.split: negative identity weight")
     ws;
   let n = Graph.n g in
   let _a, b = ring_neighbors g v in
@@ -41,43 +39,22 @@ let splitk_free g { v; weights = ws } =
         (Graph.edges g)
   in
   let ids = Array.init k (fun j -> if j = 0 then v else n + j - 1) in
-  { kpath = Graph.create ~weights ~edges; ids }
+  { graph = Graph.create ~weights ~edges; ids }
 
-let splitk g ({ v; weights = ws } as s) =
+let split g ({ v; weights = ws } as s) =
   let total = Array.fold_left Q.add Q.zero ws in
   if not (Q.equal total (Graph.weight g v)) then
-    invalid_arg "Sybil.splitk: weights must sum to w_v";
-  splitk_free g s
-
-let splitk_utility ?ctx g s =
-  let ks = splitk g s in
-  let d = Decompose.compute ?ctx ks.kpath in
-  Array.fold_left
-    (fun acc id -> Q.add acc (Utility.of_vertex ks.kpath d id))
-    Q.zero ks.ids
-
-let split_free g ~v ~w1 ~w2 =
-  (* historical error messages, pinned by test_sybil.ml *)
-  if not (Graph.is_ring g) then invalid_arg "Sybil.split: not a ring";
-  if Q.sign w1 < 0 || Q.sign w2 < 0 then
-    invalid_arg "Sybil.split: negative identity weight";
-  let ks = splitk_free g { v; weights = [| w1; w2 |] } in
-  { path = ks.kpath; v1 = ks.ids.(0); v2 = ks.ids.(1) }
-
-let split g ~v ~w1 ~w2 =
-  if not (Q.equal (Q.add w1 w2) (Graph.weight g v)) then
     invalid_arg "Sybil.split: weights must sum to w_v";
-  split_free g ~v ~w1 ~w2
+  split_free g s
 
-let utilities_of_split ?ctx s =
-  let d = Decompose.compute ?ctx s.path in
-  (Utility.of_vertex s.path d s.v1, Utility.of_vertex s.path d s.v2)
+let utility ?ctx g s =
+  let { graph; ids } = split g s in
+  let d = Decompose.compute ?ctx graph in
+  Array.fold_left (fun acc id -> Q.add acc (Utility.of_vertex graph d id))
+    Q.zero ids
 
 let split_utility ?ctx g ~v ~w1 =
-  let w2 = Q.sub (Graph.weight g v) w1 in
-  let s = split g ~v ~w1 ~w2 in
-  let u1, u2 = utilities_of_split ?ctx s in
-  Q.add u1 u2
+  utility ?ctx g { v; weights = [| w1; Q.sub (Graph.weight g v) w1 |] }
 
 let honest_utility ?ctx g ~v =
   let d = Decompose.compute ?ctx g in
@@ -88,3 +65,27 @@ let initial_split ?ctx g ~v =
   let a, b = ring_neighbors g v in
   let alloc = Allocation.compute ?ctx g in
   (Allocation.amount alloc ~src:v ~dst:a, Allocation.amount alloc ~src:v ~dst:b)
+
+let lattice ~w ~grid windows =
+  let clamp x = Q.max Q.zero (Q.min w x) in
+  let axes =
+    Array.map
+      (fun (lo, hi) ->
+        let step = Q.div_int (Q.sub hi lo) grid in
+        if Q.is_zero step then [ lo ]
+        else
+          List.init (grid + 1) (fun i -> clamp (Q.add lo (Q.mul_int step i))))
+      windows
+  in
+  let rec cart i =
+    if i = Array.length axes then [ [] ]
+    else
+      let rest = cart (i + 1) in
+      List.concat_map (fun x -> List.map (fun tl -> x :: tl) rest) axes.(i)
+  in
+  List.filter_map
+    (fun free ->
+      let sum = List.fold_left Q.add Q.zero free in
+      if Q.compare sum w > 0 then None
+      else Some (Array.of_list (free @ [ Q.sub w sum ])))
+    (cart 0)

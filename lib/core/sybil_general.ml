@@ -1,7 +1,7 @@
 module Q = Rational
 
 type spec = { groups : int list array; weights : Q.t array }
-type split = { graph : Graph.t; ids : int array }
+type split = Sybil.split = { graph : Graph.t; ids : int array }
 
 let apply g ~v spec =
   let m = Array.length spec.groups in
@@ -85,22 +85,6 @@ let partitions items ~max_groups =
   in
   go items
 
-(* Compositions of the weight over m identities on a grid: each identity
-   gets a multiple of w/grid, totals preserved exactly. *)
-let weight_grids w m ~grid =
-  let step = Q.div_int w grid in
-  let rec go m remaining =
-    if m = 1 then [ [ Q.mul_int step remaining ] ]
-    else
-      List.concat_map
-        (fun take ->
-          List.map
-            (fun rest -> Q.mul_int step take :: rest)
-            (go (m - 1) (remaining - take)))
-        (List.init (remaining + 1) Fun.id)
-  in
-  List.map Array.of_list (go m grid)
-
 (* [?grid] here is the per-dimension simplex resolution over m identity
    weights (cost grows as grid^m), not the ctx sweep grid — reusing
    ctx.grid (32) would blow the enumeration up, so it stays a distinct,
@@ -120,7 +104,7 @@ let[@lint.allow "config-drift"] best_attack ?ctx ?(grid = 6) ?(max_degree = 5)
       let m = List.length partition in
       let groups = Array.of_list partition in
       let weight_choices =
-        if m = 1 then [ [| w |] ] else weight_grids w m ~grid
+        Sybil.lattice ~w ~grid (Array.make (m - 1) (Q.zero, w))
       in
       List.iter
         (fun weights ->

@@ -18,7 +18,7 @@ type spec = {
   weights : Rational.t array;  (** identity weights, summing to [w_v] *)
 }
 
-type split = {
+type split = Sybil.split = {
   graph : Graph.t;  (** the post-attack network *)
   ids : int array;  (** vertex id of each identity: [ids.(0) = v], the
                         rest are fresh vertices appended after [n-1] *)
@@ -41,9 +41,10 @@ val best_attack :
   ?ctx:Engine.Ctx.t -> ?grid:int -> ?max_degree:int ->
   Graph.t -> v:int -> spec * Rational.t * Rational.t
 (** [(best spec found, its utility, utility / honest)] over all identity
-    counts, all neighbour partitions, and a simplex grid of weight
-    splits.  [grid] is the {e per-dimension} resolution (default 6) — a
-    deliberately separate knob from [ctx.grid], whose 32 would make the
-    [grid^m] enumeration explode.
+    counts, all neighbour partitions, and the simplex lattice of weight
+    splits ({!Sybil.lattice} over full windows).  [grid] is the
+    {e per-dimension} resolution (default 6) — a deliberately separate
+    knob from [ctx.grid], whose 32 would make the [grid^m] enumeration
+    explode.
     @raise Invalid_argument when [d_v > max_degree] (default 5; the
     partition count grows as the Bell number). *)

@@ -47,7 +47,7 @@ val slice_utility_function :
     carries [total − x] and every other vertex keeps its weight from the
     given graph.  For the two-identity split pass the ring itself with
     [v1 = v], [v2 = n] and [ids = [|v; n|]]; with more identities pass
-    the {e materialised} split path ({!Sybil.ksplit.kpath}), where the
+    the {e materialised} split path ({!Sybil.split.graph}), where the
     fixed identities' weights are readable. *)
 
 val derivative_numerator : Poly.t * Poly.t -> Poly.t

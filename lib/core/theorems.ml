@@ -107,9 +107,9 @@ let lemmas15_21 ?ctx g ~v =
      alpha unchanged.  Vacuously true when the identities are already in
      different pairs. *)
   let w10, w20 = Sybil.initial_split ?ctx g ~v in
-  let s0 = Sybil.split_free g ~v ~w1:w10 ~w2:w20 in
-  let d0 = Decompose.compute ?ctx s0.Sybil.path in
-  let v1 = s0.Sybil.v1 and v2 = s0.Sybil.v2 in
+  let s0 = Sybil.split_free g { Sybil.v; weights = [| w10; w20 |] } in
+  let d0 = Decompose.compute ?ctx s0.Sybil.graph in
+  let v1 = s0.Sybil.ids.(0) and v2 = s0.Sybil.ids.(1) in
   let same_side =
     Decompose.pair_index d0 v1 = Decompose.pair_index d0 v2
     && ((Decompose.in_b d0 v1 && Decompose.in_b d0 v2)
@@ -122,8 +122,8 @@ let lemmas15_21 ?ctx g ~v =
        B case: grow w1 by epsilon (the fixed identity is v2). *)
     let probe eps =
       if c_case then
-        Sybil.split_free g ~v ~w1:w10 ~w2:(Q.sub w20 eps)
-      else Sybil.split_free g ~v ~w1:(Q.add w10 eps) ~w2:w20
+        Sybil.split_free g { Sybil.v; weights = [| w10; Q.sub w20 eps |] }
+      else Sybil.split_free g { Sybil.v; weights = [| Q.add w10 eps; w20 |] }
     in
     let budget = if c_case then w20 else w20 in
     if Q.is_zero budget then Ok ()
@@ -135,7 +135,7 @@ let lemmas15_21 ?ctx g ~v =
           if Q.sign eps <= 0 then Ok ()
           else begin
             let s = probe eps in
-            let d = Decompose.compute ?ctx s.Sybil.path in
+            let d = Decompose.compute ?ctx s.Sybil.graph in
             if Decompose.pair_index d v1 = Decompose.pair_index d v2 then
               try_eps (k + 1)
             else begin
@@ -194,10 +194,13 @@ let corollaries17_23 ?ctx g ~v =
     else if grow_is_v1 then (w1s, w20)
     else (w10, w2s)
   in
-  let s = Sybil.split_free g ~v ~w1:(fst state) ~w2:(snd state) in
-  let d = Decompose.compute ?ctx s.Sybil.path in
-  let grow_id = if grow_is_v1 then s.Sybil.v1 else s.Sybil.v2 in
-  let shrink_id = if grow_is_v1 then s.Sybil.v2 else s.Sybil.v1 in
+  let s =
+    Sybil.split_free g { Sybil.v; weights = [| fst state; snd state |] }
+  in
+  let d = Decompose.compute ?ctx s.Sybil.graph in
+  let v1 = s.Sybil.ids.(0) and v2 = s.Sybil.ids.(1) in
+  let grow_id = if grow_is_v1 then v1 else v2 in
+  let shrink_id = if grow_is_v1 then v2 else v1 in
   let ag = Decompose.alpha_of d grow_id
   and ash = Decompose.alpha_of d shrink_id in
   let same_pair =

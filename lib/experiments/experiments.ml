@@ -767,7 +767,7 @@ let brute_attack_k g ~k ~grid =
       let rec go m remaining acc =
         if m = 1 then begin
           let ws = Array.of_list (List.rev (remaining :: acc)) in
-          let u = Sybil.splitk_utility g { Sybil.v; weights = ws } in
+          let u = Sybil.utility g { Sybil.v; weights = ws } in
           let r = Q.div u honest in
           if Q.compare r !best > 0 then best := r
         end
@@ -784,43 +784,27 @@ let brute_attack_k g ~k ~grid =
   !best
 
 (* A coalition of pairwise non-adjacent ring agents, each 2-splitting
-   simultaneously.  Member j keeps its ring id (edge to the smaller
-   neighbour) and fresh id n+j takes the larger-neighbour edge — the
-   same consecutive-insertion convention as [Sybil.splitk], applied
-   once per member.  Non-adjacency keeps every removed edge distinct,
-   so the result is a forest of paths (degree <= 2, acyclic). *)
-let coalition_graph g members =
-  let n = Graph.n g in
-  let removed = ref [] in
-  let added = ref [] in
-  let fresh = ref [] in
-  List.iteri
-    (fun j (v, x) ->
-      let nb = Graph.neighbors g v in
-      let b = Stdlib.max nb.(0) nb.(1) in
-      removed := (v, b) :: !removed;
-      added := (n + j, b) :: !added;
-      fresh := Q.sub (Graph.weight g v) x :: !fresh)
-    members;
-  let weights =
-    Array.append
-      (Array.mapi
-         (fun v w ->
-           match List.assoc_opt v members with Some x -> x | None -> w)
-         (Graph.weights g))
-      (Array.of_list (List.rev !fresh))
-  in
-  let keep (x, y) =
-    not
-      (List.exists (fun (u, b) -> (x = u && y = b) || (x = b && y = u))
-         !removed)
-  in
-  let edges = List.rev !added @ List.filter keep (Graph.edges g) in
-  Graph.create ~weights ~edges
-
+   simultaneously: member j's split ([Sybil_general.apply], groups
+   [[smaller nbr]; [larger nbr]]) is applied to the graph its
+   predecessors left, so it keeps its ring id and fresh id n+j takes the
+   larger-neighbour edge.  Non-adjacency keeps each member's neighbours
+   those of the ring, so the result is a forest of paths. *)
 let coalition_ratio g members =
   let n = Graph.n g in
-  let cg = coalition_graph g members in
+  let cg =
+    List.fold_left
+      (fun cg (v, x) ->
+        let nb = Graph.neighbors g v in
+        let spec =
+          {
+            Sybil_general.groups =
+              [| [ Stdlib.min nb.(0) nb.(1) ]; [ Stdlib.max nb.(0) nb.(1) ] |];
+            weights = [| x; Q.sub (Graph.weight g v) x |];
+          }
+        in
+        (Sybil_general.apply cg ~v spec).Sybil_general.graph)
+      g members
+  in
   let d = Decompose.compute cg in
   let dh = Decompose.compute g in
   let joint = ref Q.zero and honest = ref Q.zero in

@@ -361,6 +361,27 @@ for ring in 3,0,0 0,3,2; do
   fi
 done
 
+# 29. grid-sweep knobs out of range are spec errors at flag parse:
+#     exit 4, one stderr line, in every subcommand.  A negative --refine
+#     used to zoom forever, so each run is bounded by timeout (exit 124
+#     when it hangs).
+for args in "sybil --ring 7,2,9,4,3 --agent 0 --refine=-1" \
+            "sybil --ring 7,2,9,4,3 --grid 1" \
+            "sybil --ring 7,2,9,4,3 --grid 0 --identities 3" \
+            "hunt --trials 2 --grid 1" \
+            "hunt --trials 2 --refine=-2" \
+            "general --ring 7,2,9,4,3 -v 0 --grid 0"; do
+  # shellcheck disable=SC2086
+  timeout 30 "$cli" $args > /dev/null 2> "$tmpdir/err"
+  expect "$args" 4 $?
+  if [ "$(wc -l < "$tmpdir/err")" -ne 1 ] \
+     || ! grep -q -- "--grid\|--refine" "$tmpdir/err"
+  then
+    echo "FAIL: $args: stderr is not one line naming the flag:" >&2
+    cat "$tmpdir/err" >&2; fails=$((fails + 1))
+  fi
+done
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

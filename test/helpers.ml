@@ -147,8 +147,9 @@ let qtest ?(count = 100) name gen prop =
 
 (* The decomposition of the split path [P_v(w1, w_v − w1)]. *)
 let split_decomposition g ~v w1 =
-  let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub (Graph.weight g v) w1) in
-  Decompose.compute s.Sybil.path
+  let w = Graph.weight g v in
+  let s = Sybil.split g { Sybil.v; weights = [| w1; Q.sub w w1 |] } in
+  Decompose.compute s.Sybil.graph
 
 (* Decompose the split path at [grid + 1] equispaced points of
    [0, w_v] and return the cells [(lo, hi)] whose end decompositions

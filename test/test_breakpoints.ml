@@ -180,10 +180,7 @@ let test_exact_sees_hidden_even_events () =
   let lo = Q.make (Bigint.of_int 17) (Bigint.of_int 3) in
   let hi = Q.make (Bigint.of_int 34) (Bigint.of_int 3) in
   (* the cell endpoints really do share a structure *)
-  let d_at x =
-    let s = Sybil.split_free g ~v ~w1:x ~w2:(Q.sub (Graph.weight g v) x) in
-    Decompose.compute s.Sybil.path
-  in
+  let d_at = Helpers.split_decomposition g ~v in
   Alcotest.(check bool) "cell endpoints agree" true
     (Decompose.same_structure (d_at lo) (d_at hi));
   (* a grid-3 walk is blind inside that cell *)

@@ -220,7 +220,7 @@ let brute_attack_k g ~k ~grid =
       let rec go m remaining acc =
         if m = 1 then begin
           let ws = Array.of_list (List.rev (remaining :: acc)) in
-          let u = Sybil.splitk_utility g { Sybil.v; weights = ws } in
+          let u = Sybil.utility g { Sybil.v; weights = ws } in
           let r = Rational.div u honest in
           if Rational.compare r !best > 0 then best := r
         end

@@ -182,10 +182,7 @@ let test_piece_tiling () =
       List.iter
         (fun (p : Breakpoints.exact_piece) ->
           if Qx.compare p.xlo p.xhi < 0 then begin
-            let d_at x =
-              let s = Sybil.split_free g ~v ~w1:x ~w2:(Q.sub w x) in
-              Decompose.compute s.Sybil.path
-            in
+            let d_at = Helpers.split_decomposition g ~v in
             let x1 = Qx.rational_between p.xlo (Qx.of_q p.sample) in
             let x2 = Qx.rational_between (Qx.of_q p.sample) p.xhi in
             Alcotest.(check bool) "interior structure constant" true

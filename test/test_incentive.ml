@@ -67,6 +67,22 @@ let test_budget_charges_distinct_points_once () =
     true (evals < 28);
   Alcotest.(check bool) "still sweeps" true (evals >= 9)
 
+let test_grid_knobs_validated () =
+  (* one guard for every identity count: a grid below 2 points has no
+     step and a negative refine would zoom forever *)
+  let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
+  List.iter
+    (fun (grid, refine, identities) ->
+      Alcotest.check_raises
+        (Printf.sprintf "grid %d refine %d k %d" grid refine identities)
+        (Invalid_argument "Incentive.best_split: grid < 2 or refine < 0")
+        (fun () ->
+          ignore
+            (Incentive.best_split
+               ~ctx:(Engine.Ctx.make ~grid ~refine ~identities ())
+               g ~v:0)))
+    [ (1, 1, 2); (0, 1, 3); (8, -1, 2); (8, -1, 3) ]
+
 let test_parallel_inner_sweep_deterministic () =
   (* ~domains parallelises the grid-point evaluations inside one search;
      the reported attack must be bit-identical to the sequential one. *)
@@ -170,6 +186,8 @@ let () =
             test_parallel_inner_sweep_deterministic;
           Alcotest.test_case "shared honest decomposition" `Quick
             test_shared_honest_matches_per_vertex;
+          Alcotest.test_case "grid knobs validated" `Quick
+            test_grid_knobs_validated;
         ] );
       ( "tightness family",
         [

@@ -27,13 +27,13 @@ let test_ring_and_path_forms_agree () =
   let total = Graph.weight g v in
   List.iter
     (fun w1 ->
-      let s = Sybil.split g ~v ~w1 ~w2:(Q.sub total w1) in
-      let structure = Decompose.compute s.Sybil.path in
+      let s = Sybil.split g { Sybil.v; weights = [| w1; Q.sub total w1 |] } in
+      let structure = Decompose.compute s.Sybil.graph in
       let form h =
         Symbolic.slice_utility_function h ~v1:v ~v2:n ~total ~structure
           ~ids:[| v; n |]
       in
-      let rn, rd = form g and pn, pd = form s.Sybil.path in
+      let rn, rd = form g and pn, pd = form s.Sybil.graph in
       Alcotest.(check bool) "same N and D" true
         (Poly.equal rn pn && Poly.equal rd pd))
     [ Q.of_ints 1 2; Q.of_int 3; Q.of_ints 9 2; Q.of_int 6 ]
